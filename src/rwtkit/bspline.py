@@ -19,41 +19,21 @@ from .errors import InvalidParam
 __all__ = ["CubicSplineBasis"]
 
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    """The cardinal cubic B-spline on support [0, 4]."""
-    return np.select(
-        [
-            (t >= 0.0) & (t < 1.0),
-            (t >= 1.0) & (t < 2.0),
-            (t >= 2.0) & (t < 3.0),
-            (t >= 3.0) & (t <= 4.0),
-        ],
-        [
-            t**3 / 6.0,
-            (-3.0 * t**3 + 12.0 * t**2 - 12.0 * t + 4.0) / 6.0,
-            (3.0 * t**3 - 24.0 * t**2 + 60.0 * t - 44.0) / 6.0,
-            (4.0 - t) ** 3 / 6.0,
-        ],
-        default=0.0,
-    )
-
-
-def _bump_derivative(t: np.ndarray) -> np.ndarray:
-    return np.select(
-        [
-            (t >= 0.0) & (t < 1.0),
-            (t >= 1.0) & (t < 2.0),
-            (t >= 2.0) & (t < 3.0),
-            (t >= 3.0) & (t <= 4.0),
-        ],
-        [
-            t**2 / 2.0,
-            (-3.0 * t**2 + 8.0 * t - 4.0) / 2.0,
-            (3.0 * t**2 - 16.0 * t + 20.0) / 2.0,
-            -((4.0 - t) ** 2) / 2.0,
-        ],
-        default=0.0,
-    )
+#: The cardinal cubic B-spline on support [0, 4], one polynomial per unit
+#: piece: piece m covers [m, m + 1).  Both it and its slope vanish at t = 4.
+_VALUE_PIECES = (
+    lambda t: t**3 / 6.0,
+    lambda t: (-3.0 * t**3 + 12.0 * t**2 - 12.0 * t + 4.0) / 6.0,
+    lambda t: (3.0 * t**3 - 24.0 * t**2 + 60.0 * t - 44.0) / 6.0,
+    lambda t: (4.0 - t) ** 3 / 6.0,
+)
+#: Its derivative with respect to t, piece by piece.
+_SLOPE_PIECES = (
+    lambda t: t**2 / 2.0,
+    lambda t: (-3.0 * t**2 + 8.0 * t - 4.0) / 2.0,
+    lambda t: (3.0 * t**2 - 16.0 * t + 20.0) / 2.0,
+    lambda t: -((4.0 - t) ** 2) / 2.0,
+)
 
 
 @dataclass(frozen=True)
@@ -82,42 +62,41 @@ class CubicSplineBasis:
     def step(self) -> float:
         return (self.hi - self.lo) / self.grid_size
 
-    def _shifted(self, u: np.ndarray) -> np.ndarray:
+    def _local(self, u, *families) -> list[np.ndarray]:
+        """Dense ``u.shape + (n_basis,)`` tensors, one per piece family.
+
+        At ``w = (u - lo) / step + 3`` an entry lies in piece m of bump
+        ``j = floor(w) - m`` at ``t = w - j``, so it evaluates one polynomial
+        per piece and scatters it into column j.  A j outside the basis (far
+        beyond the span, infinities, NaN) writes to one discard slot.
+        """
         u = np.asarray(u, dtype=float)
-        s = (u[..., np.newaxis] - self.lo) / self.step
-        return s + 3.0 - np.arange(self.n_basis)
+        k = self.n_basis
+        w = ((u - self.lo) / self.step + 3.0).ravel()
+        cell = np.floor(np.clip(w, -1.0, k + 4.0))  # finite except NaN; t uses w itself
+        rows = np.arange(w.size) * k
+        out = [np.zeros(w.size * k + 1) for _ in families]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(4):
+                j = cell - m
+                slot = np.where((j >= 0.0) & (j < k), rows + j, w.size * k).astype(np.intp)
+                t = w - j
+                for dense, pieces in zip(out, families):
+                    dense[slot] = pieces[m](t)
+        return [dense[:-1].reshape(u.shape + (k,)) for dense in out]
 
     def evaluate(self, u) -> np.ndarray:
         """Basis matrix with shape ``u.shape + (n_basis,)``."""
-        t = self._shifted(u)
-        values = np.zeros(t.shape)
-        active = (t >= 0.0) & (t <= 4.0)
-        values[active] = _bump(t[active])
-        return values
+        return self._local(u, _VALUE_PIECES)[0]
 
     def derivative(self, u) -> np.ndarray:
         """Derivative of each basis function, same shape as :meth:`evaluate`."""
-        t = self._shifted(u)
-        derivs = np.zeros(t.shape)
-        active = (t >= 0.0) & (t <= 4.0)
-        derivs[active] = _bump_derivative(t[active])
-        return derivs / self.step
+        return self._local(u, _SLOPE_PIECES)[0] / self.step
 
     def evaluate_with_derivative(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """Values and derivatives in one pass.
-
-        Equivalent to (:meth:`evaluate`, :meth:`derivative`) but shares the
-        shifted argument and only touches the 4-wide support of each bump,
-        which matters when this sits inside a training loop.
-        """
-        t = self._shifted(u)
-        values = np.zeros(t.shape)
-        derivs = np.zeros(t.shape)
-        active = (t >= 0.0) & (t <= 4.0)
-        v = t[active]
-        values[active] = _bump(v)
-        derivs[active] = _bump_derivative(v)
-        return values, derivs / self.step
+        """Values and derivatives in one pass (:meth:`evaluate`, :meth:`derivative`)."""
+        values, slopes = self._local(u, _VALUE_PIECES, _SLOPE_PIECES)
+        return values, slopes / self.step
 
     def fit(self, u, targets) -> np.ndarray:
         """Least-squares coefficients reproducing ``targets`` at ``u``."""

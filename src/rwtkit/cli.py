@@ -786,19 +786,26 @@ def cmd_report(cfg: RunConfig) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
+#: Help for the flags whose name does not say all they do.
+_FLAG_HELP = {
+    "shap_instances": "explain at most this many rows, the first ones of the test split",
+}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
     parser.add_argument("--config", metavar="FILE", help="key = value configuration file")
     for key in keys:
         kind = _FIELD_TYPES[key]
         flag = "--" + key.replace("_", "-")
+        help_text = _FLAG_HELP.get(key)
         if kind == "bool":
-            parser.add_argument(flag, dest=key, action="store_const", const=True)
+            parser.add_argument(flag, dest=key, action="store_const", const=True, help=help_text)
         elif kind == "int":
-            parser.add_argument(flag, dest=key, type=int)
+            parser.add_argument(flag, dest=key, type=int, help=help_text)
         elif kind == "float":
-            parser.add_argument(flag, dest=key, type=float)
+            parser.add_argument(flag, dest=key, type=float, help=help_text)
         else:
-            parser.add_argument(flag, dest=key)
+            parser.add_argument(flag, dest=key, help=help_text)
 
 
 _COMMON_KEYS = ("out",)

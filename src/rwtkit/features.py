@@ -35,7 +35,9 @@ import numpy as np
 
 from .errors import (
     DegenerateColumn,
+    DimensionMismatch,
     MissingFeature,
+    NonFiniteInput,
     NonMonotoneDepths,
     ShortProfile,
 )
@@ -194,6 +196,19 @@ class FeatureVector:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.x, dtype=float)
+
+
+def model_rows(x, width: int) -> np.ndarray:
+    """Model input (a :class:`FeatureVector`, one row or a matrix) as finite
+    (n, width) rows; every model checks its inputs here."""
+    arr = np.asarray(x.as_array() if isinstance(x, FeatureVector) else x, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[np.newaxis, :]
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise DimensionMismatch(f"model takes rows of width {width}, input has shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteInput("model inputs must be finite")
+    return arr
 
 
 def _as_raw_array(raw: Mapping[Feature, float] | Sequence[float]) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .bspline import CubicSplineBasis
 from .errors import Diverged, DimensionMismatch, InvalidLayout, InvalidParam, SnapFailure
+from .features import model_rows
 from .metrics import metrics
 from .symbolic import (
     Call,
@@ -110,11 +111,11 @@ class KanNetwork:
 
     def out_of_range(self, x) -> np.ndarray:
         """Mask of input entries outside the spline span [0, 1]."""
-        arr = _as_batch(self, x)
+        arr = model_rows(x, self.n_inputs)
         return (arr < 0.0) | (arr > 1.0)
 
     def forward(self, x) -> np.ndarray:
-        return _propagate(self, _as_batch(self, x), start=0)
+        return _propagate(self, model_rows(x, self.n_inputs), start=0)
 
     predict = forward
 
@@ -124,7 +125,7 @@ class KanNetwork:
         A node sums its incoming edges, so ``head`` applied to the sum over
         axis 1 is the prediction.
         """
-        batch = _as_batch(self, x)
+        batch = model_rows(x, self.n_inputs)
         return _edge_out(self, 0, batch, self.basis.evaluate(batch)).transpose(0, 2, 1)
 
     def head(self, s: np.ndarray) -> np.ndarray:
@@ -156,17 +157,6 @@ class KanNetwork:
                          ([[float(v) for v in out] for out in layer]
                           for layer in state["bypass"])),
         )
-
-
-def _as_batch(net: KanNetwork, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
-    if arr.ndim != 2 or arr.shape[1] != net.n_inputs:
-        raise DimensionMismatch(
-            f"network expects width {net.n_inputs}, input has shape {arr.shape}"
-        )
-    return arr
 
 
 def kan_init(
@@ -209,18 +199,19 @@ def _propagate(net: KanNetwork, a: np.ndarray, start: int) -> np.ndarray:
     return a[:, 0]
 
 
-def _forward_full(net: KanNetwork, x: np.ndarray):
+def _forward_full(net: KanNetwork, x: np.ndarray, bas0: np.ndarray | None = None):
     """Prediction plus per-layer caches for backprop and snapping.
 
-    The first layer's edge slopes are never consumed (backprop stops at the
-    inputs), so they are left out of its cache.
+    ``bas0`` is the first layer's basis at ``x`` when the caller already has
+    it.  The first layer's edge slopes are never consumed (backprop stops at
+    the inputs), so they are left out of its cache.
     """
     basis = net.basis
     caches = []
     a = x
     for l in range(len(net.layout) - 1):
         if l == 0:
-            bas = basis.evaluate(a)            # (n, P, K)
+            bas = basis.evaluate(a) if bas0 is None else bas0  # (n, P, K)
             edge_slope = None
         else:
             bas, dbas = basis.evaluate_with_derivative(a)
@@ -239,14 +230,15 @@ def kan_forward(net: KanNetwork, x) -> float | np.ndarray:
     return float(pred[0]) if arr.ndim == 1 else pred
 
 
-def _loss_and_grads(net: KanNetwork, x: np.ndarray, y: np.ndarray, lam: float):
+def _loss_and_grads(net: KanNetwork, x: np.ndarray, y: np.ndarray, lam: float,
+                    bas0: np.ndarray | None = None):
     """Total loss, parameter gradients, and the smallest |edge output|.
 
     Loss is mean squared error plus ``lam`` times the sum over edges of the
-    mean absolute edge output.
+    mean absolute edge output.  ``bas0`` as for :func:`_forward_full`.
     """
     n = len(x)
-    pred, caches = _forward_full(net, x)
+    pred, caches = _forward_full(net, x, bas0)
     err = pred - y
     loss = float(np.mean(err * err))
     min_abs_edge = np.inf
@@ -283,10 +275,11 @@ def kan_train(
 
     ``seed`` keeps the signature uniform with the stochastic trainers; the
     loop itself draws no randomness, so it does not affect the result.  A
-    non-finite loss raises :class:`Diverged`.
+    non-finite loss raises :class:`Diverged`.  The inputs never change, so
+    the first layer's basis is evaluated once for all steps.
     """
     del seed
-    x = _as_batch(net, x)
+    x = model_rows(x, net.n_inputs)
     y = np.asarray(y, dtype=float).ravel()
     if len(x) != len(y):
         raise DimensionMismatch(f"{len(x)} rows but {len(y)} targets")
@@ -295,10 +288,11 @@ def kan_train(
     coefs = [c.copy() for c in net.coefs]
     bypass = [b.copy() for b in net.bypass]
     current = replace(net, coefs=tuple(coefs), bypass=tuple(bypass))
+    bas0 = current.basis.evaluate(x)
     trace = []
     for step in range(steps):
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, gc, gb, _ = _loss_and_grads(current, x, y, lam)
+            loss, gc, gb, _ = _loss_and_grads(current, x, y, lam, bas0)
         if not np.isfinite(loss):
             raise Diverged(f"non-finite loss at step {step}")
         trace.append(loss)
@@ -319,7 +313,7 @@ def kan_gradcheck(net: KanNetwork, x, y, lam: float = 1e-3, eps: float = 1e-5) -
     zero edge output, so callers should check :func:`min_abs_edge_output`
     is comfortably above ``eps`` first.
     """
-    x = _as_batch(net, x)
+    x = model_rows(x, net.n_inputs)
     y = np.asarray(y, dtype=float).ravel()
     coefs = [c.copy() for c in net.coefs]
     bypass = [b.copy() for b in net.bypass]
@@ -352,7 +346,7 @@ def kan_gradcheck(net: KanNetwork, x, y, lam: float = 1e-3, eps: float = 1e-5) -
 
 def min_abs_edge_output(net: KanNetwork, x) -> float:
     """Smallest |edge output| over all edges and rows; gradcheck conditioning."""
-    _, caches = _forward_full(net, _as_batch(net, x))
+    _, caches = _forward_full(net, model_rows(x, net.n_inputs))
     return min(float(np.min(np.abs(c["edge_out"]))) for c in caches)
 
 
@@ -378,28 +372,35 @@ def _scaled(core: Expr, c: float, d: float) -> Expr:
 
 
 def _outer_lstsq(f: np.ndarray, v: np.ndarray):
-    """Closed-form (c, d, sse) for v ~ c*f + d along the last axis."""
+    """Closed-form (c, d, sse) for v ~ c*f + d along the last axis.
+
+    Every product of ``f``'s size goes through one scratch array.
+    """
     fm = f.mean(axis=-1)
     vm = v.mean()
-    var = (f * f).mean(axis=-1) - fm * fm
-    cov = (f * v).mean(axis=-1) - fm * vm
+    tmp = np.multiply(f, f)
+    var = tmp.mean(axis=-1) - fm * fm
+    cov = np.multiply(f, v, out=tmp).mean(axis=-1) - fm * vm
     with np.errstate(invalid="ignore", divide="ignore"):
         c = np.where(var > 1e-14, cov / np.maximum(var, 1e-300), 0.0)
     d = vm - c * fm
-    resid = v - (c[..., np.newaxis] * f + d[..., np.newaxis])
-    return c, d, (resid * resid).sum(axis=-1)
+    np.multiply(c[..., np.newaxis], f, out=tmp)
+    np.add(tmp, d[..., np.newaxis], out=tmp)
+    np.subtract(v, tmp, out=tmp)
+    return c, d, np.multiply(tmp, tmp, out=tmp).sum(axis=-1)
 
 
 def _sweep(u, v, make_feature, p1_lo, p1_hi, p2_lo, p2_hi):
     """Best (p1, p2, c, d, sse) by grid sweep with zooming.
 
     ``make_feature(p1_grid, p2_grid, u)`` returns the feature tensor
-    (n1, n2, n) and a validity mask (n1, n2) or None.  Deterministic.
+    (n1, n2, n) and a validity mask (n1, n2) or None.  A fixed second
+    parameter (``p2_lo == p2_hi``) gets a one-point axis.  Deterministic.
     """
     best = None
     for _ in range(_SWEEP_ZOOMS):
         p1_grid = np.linspace(p1_lo, p1_hi, _SWEEP_STEPS)
-        p2_grid = np.linspace(p2_lo, p2_hi, _SWEEP_STEPS)
+        p2_grid = np.linspace(p2_lo, p2_hi, 1 if p2_lo == p2_hi else _SWEEP_STEPS)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f, valid = make_feature(p1_grid, p2_grid, u)
             c, d, sse = _outer_lstsq(f, v)
@@ -678,7 +679,7 @@ def kan_snap(
     simplified expression and a :class:`SnapReport` whose tolerance is the
     max absolute disagreement with the network over ``x_sample``.
     """
-    x = _as_batch(net, x_sample)
+    x = model_rows(x_sample, net.n_inputs)
     if on_poor_fit not in ("warn", "raise"):
         raise ValueError(f"on_poor_fit must be 'warn' or 'raise', got {on_poor_fit!r}")
     candidates = _resolve_library(library)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import Diverged, DimensionMismatch, InvalidLayout, InvalidParam
+from .features import model_rows
 
 __all__ = [
     "MlpModel",
@@ -89,7 +90,7 @@ class MlpModel:
         The first layer is additive per input, so ``head`` applied to the
         sum over axis 1 is the prediction.
         """
-        batch = _as_batch(self, x)
+        batch = model_rows(x, self.layout[0])
         return batch[:, :, np.newaxis] * self.weights[0][np.newaxis, :, :]
 
     def head(self, s: np.ndarray) -> np.ndarray:
@@ -118,17 +119,6 @@ def mlp_init(layout, seed: int = 0, dropout_rate: float = 0.1) -> MlpModel:
         biases=tuple(biases),
         dropout_rate=dropout_rate,
     )
-
-
-def _as_batch(model: MlpModel, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
-    if arr.ndim != 2 or arr.shape[1] != model.layout[0]:
-        raise DimensionMismatch(
-            f"model expects width {model.layout[0]}, input has shape {arr.shape}"
-        )
-    return arr
 
 
 def _forward(
@@ -174,7 +164,7 @@ def mlp_forward(model: MlpModel, x, mode: str = "infer", rng=None) -> np.ndarray
         raise ValueError(f"mode must be 'infer' or 'train', got {mode!r}")
     if mode == "train" and model.dropout_rate > 0.0 and rng is None:
         raise InvalidParam("train-mode forward needs an rng for dropout masks")
-    batch = _as_batch(model, x)
+    batch = model_rows(x, model.layout[0])
     pred, _, _, _ = _forward(model, batch, train=(mode == "train"), rng=rng)
     return pred
 
@@ -223,7 +213,7 @@ def mlp_train(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    batch_all = _as_batch(model, x)
+    batch_all = model_rows(x, model.layout[0])
     if len(batch_all) != len(y):
         raise DimensionMismatch(f"{len(batch_all)} rows but {len(y)} targets")
     if epochs < 1 or batch_size < 1:
@@ -278,7 +268,7 @@ def mlp_gradcheck(model: MlpModel, x, y, eps: float = 1e-5) -> float:
     because the rectifier's kink would make one-sided curvature leak into
     the finite difference.
     """
-    x = _as_batch(model, x)
+    x = model_rows(x, model.layout[0])
     y = np.asarray(y, dtype=float).ravel()
     if len(x) != len(y):
         raise DimensionMismatch(f"{len(x)} rows but {len(y)} targets")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyData, InvalidParam
-from .features import FeatureVector
+from .features import model_rows
 
 __all__ = [
     "TreeParams",
@@ -185,7 +185,7 @@ class DecisionTree:
         return int(depths.max()) if len(depths) else 0
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = _as_matrix(x, self.n_features)
+        x = model_rows(x, self.n_features)
         idx = np.zeros(len(x), dtype=np.int64)
         while True:
             feat = self.feature[idx]
@@ -329,21 +329,6 @@ class _TreeBuilder:
         )
 
 
-def _as_matrix(x, n_features: int | None = None) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        x = x.as_array()
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a row or matrix, got ndim={arr.ndim}")
-    if n_features is not None and arr.shape[1] != n_features:
-        raise DimensionMismatch(
-            f"model was fitted on {n_features} features, input has {arr.shape[1]}"
-        )
-    return arr
-
-
 def _check_training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -420,7 +405,7 @@ class Forest:
     n_features: int
 
     def predict(self, x) -> np.ndarray:
-        x = _as_matrix(x, self.n_features)
+        x = model_rows(x, self.n_features)
         stacked = np.stack([t.predict(x) for t in self.trees])
         stacked.sort(axis=0)
         return stacked.sum(axis=0) / len(self.trees)
@@ -532,7 +517,7 @@ class BoostedEnsemble:
     train_mse: tuple[float, ...] = field(repr=False, default=())
 
     def predict(self, x) -> np.ndarray:
-        x = _as_matrix(x, self.n_features)
+        x = model_rows(x, self.n_features)
         out = np.full(len(x), self.base_score)
         for tree in self.trees:
             out = out + self.params.learning_rate * tree.predict(x)
@@ -542,7 +527,7 @@ class BoostedEnsemble:
         """Prediction using only the first ``n_stages`` trees."""
         if not (0 <= n_stages <= len(self.trees)):
             raise InvalidParam(f"n_stages must be 0..{len(self.trees)}")
-        x = _as_matrix(x, self.n_features)
+        x = model_rows(x, self.n_features)
         out = np.full(len(x), self.base_score)
         for tree in self.trees[:n_stages]:
             out = out + self.params.learning_rate * tree.predict(x)

@@ -10,6 +10,79 @@ from rwtkit.bspline import CubicSplineBasis
 from rwtkit.errors import InvalidParam
 
 
+def _reference_bump(t: np.ndarray) -> np.ndarray:
+    """The cardinal cubic B-spline on support [0, 4], every piece evaluated."""
+    return np.select(
+        [
+            (t >= 0.0) & (t < 1.0),
+            (t >= 1.0) & (t < 2.0),
+            (t >= 2.0) & (t < 3.0),
+            (t >= 3.0) & (t <= 4.0),
+        ],
+        [
+            t**3 / 6.0,
+            (-3.0 * t**3 + 12.0 * t**2 - 12.0 * t + 4.0) / 6.0,
+            (3.0 * t**3 - 24.0 * t**2 + 60.0 * t - 44.0) / 6.0,
+            (4.0 - t) ** 3 / 6.0,
+        ],
+        default=0.0,
+    )
+
+
+def _reference_bump_derivative(t: np.ndarray) -> np.ndarray:
+    return np.select(
+        [
+            (t >= 0.0) & (t < 1.0),
+            (t >= 1.0) & (t < 2.0),
+            (t >= 2.0) & (t < 3.0),
+            (t >= 3.0) & (t <= 4.0),
+        ],
+        [
+            t**2 / 2.0,
+            (-3.0 * t**2 + 8.0 * t - 4.0) / 2.0,
+            (3.0 * t**2 - 16.0 * t + 20.0) / 2.0,
+            -((4.0 - t) ** 2) / 2.0,
+        ],
+        default=0.0,
+    )
+
+
+def dense_reference(basis: CubicSplineBasis, u) -> tuple[np.ndarray, np.ndarray]:
+    """Values and derivatives with every bump evaluated at every point.
+
+    Column j sees ``t = (u - lo) / step + 3 - j``; a dense ``np.select`` over
+    the four pieces picks the polynomial.  This is the straightforward form
+    the local-support kernel must reproduce bit for bit.
+    """
+    u = np.asarray(u, dtype=float)
+    s = (u[..., np.newaxis] - basis.lo) / basis.step
+    t = s + 3.0 - np.arange(basis.n_basis)
+    values = np.zeros(t.shape)
+    derivs = np.zeros(t.shape)
+    active = (t >= 0.0) & (t <= 4.0)
+    values[active] = _reference_bump(t[active])
+    derivs[active] = _reference_bump_derivative(t[active])
+    return values, derivs / basis.step
+
+
+def _oracle_points(basis: CubicSplineBasis, rng) -> np.ndarray:
+    """Every knot (two ways), both ends, points around and beyond the span,
+    the non-finite values, and a random cloud long enough for vector loops."""
+    span = basis.hi - basis.lo
+    knots = basis.lo + np.arange(-3, basis.grid_size + 4) * basis.step
+    return np.concatenate(
+        [
+            knots,
+            np.linspace(basis.lo, basis.hi, basis.grid_size + 1),
+            np.nextafter(knots, np.inf),
+            np.nextafter(knots, -np.inf),
+            [basis.lo, basis.hi, basis.lo - 5 * span, basis.hi + 5 * span, -1e300, 1e300],
+            [np.inf, -np.inf, np.nan],
+            rng.uniform(basis.lo - 0.4 * span, basis.hi + 0.4 * span, size=1001),
+        ]
+    )
+
+
 def scipy_basis(basis: CubicSplineBasis, u: np.ndarray) -> np.ndarray:
     """The same basis built from scipy's B-spline elements.
 
@@ -115,6 +188,33 @@ def test_shapes():
     assert basis.n_basis == 10
     assert basis.evaluate(0.5).shape == (10,)
     assert basis.evaluate(np.zeros((4, 3))).shape == (4, 3, 10)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-2.0, 3.0), (0.1, 0.7), (-1e3, -999.5)])
+@pytest.mark.parametrize("grid_size", range(4, 21))
+def test_local_kernel_bitwise_matches_dense_reference(grid_size, lo, hi):
+    basis = CubicSplineBasis(grid_size, lo=lo, hi=hi)
+    u = _oracle_points(basis, np.random.default_rng(grid_size))
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref_values, ref_derivs = dense_reference(basis, u)
+    values, derivs = basis.evaluate_with_derivative(u)
+    assert values.tobytes() == ref_values.tobytes()
+    assert basis.evaluate(u).tobytes() == ref_values.tobytes()
+    # Only the sign of zero may differ: the dense form writes -0.0 where
+    # the last piece ends (t = 4) and the local form skips that entry.
+    assert np.array_equal(derivs, ref_derivs)
+    assert np.array_equal(basis.derivative(u), ref_derivs)
+
+
+@pytest.mark.parametrize("u", [0.5, 0.0, 1.0, -0.25, np.zeros((4, 3)),
+                               np.linspace(-0.2, 1.2, 12).reshape(4, 3)])
+def test_local_kernel_bitwise_on_scalars_and_grids(u):
+    basis = CubicSplineBasis(8)
+    ref_values, ref_derivs = dense_reference(basis, u)
+    values, derivs = basis.evaluate_with_derivative(u)
+    assert values.shape == derivs.shape == np.shape(u) + (basis.n_basis,)
+    assert values.tobytes() == ref_values.tobytes()
+    assert np.array_equal(derivs, ref_derivs)
 
 
 def test_rejects_bad_construction():

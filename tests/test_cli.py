@@ -163,6 +163,28 @@ def test_missing_run_directory(capsys, tmp_path):
     assert "ingest" in record["message"]
 
 
+def test_non_finite_covariate_is_runtime_error(capsys, tmp_path):
+    out = tmp_path / "r"
+    base = ["--out", str(out)]
+    assert main(["ingest", "--synthetic", "--synth-profiles", "12", "--synth-samples", "4",
+                 "--synth-seed", "2"] + base) == 0
+    assert main(["train", "--model", "cart", "--preset", "quick"] + base) == 0
+    # Blank one test profile's air temperature in the run directory.
+    test_key = json.loads((out / "split.json").read_text())["test"][0]
+    lines = []
+    for line in (out / "profiles.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        if [rec["reservoir"], rec["date"], rec["site"]] == test_key:
+            rec["covariates"]["air_temp"] = "nan"
+        lines.append(json.dumps(rec))
+    (out / "profiles.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate"] + base) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "NonFiniteInput"
+    assert not (out / "metrics.json").exists()
+
+
 # --- synthetic end-to-end pipeline -------------------------------------------
 
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from rwtkit.bspline import CubicSplineBasis
-from rwtkit.errors import Diverged, InvalidLayout, SnapFailure
+from rwtkit.errors import Diverged, InvalidLayout, NonFiniteInput, SnapFailure
 from rwtkit.kan import (
     KanNetwork,
     edge_function,
     _forward_full,
+    _loss_and_grads,
     incremental_experiment,
     kan_forward,
     kan_gradcheck,
@@ -146,6 +147,19 @@ def test_predict_bit_identical_to_training_forward():
         assert np.array_equal(net.predict(x), expected)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_rows(bad):
+    # Inputs beyond [0, 1] are fine (the bypass carries them); only
+    # non-finite ones are rejected.
+    net = kan_init((3, 2, 1), seed=0)
+    x = np.full((4, 3), 0.5)
+    x[2, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        net.predict(x)
+    with pytest.raises(NonFiniteInput):
+        net.forward(x[2])
+
+
 def test_out_of_range_mask():
     net = kan_init((2, 2, 1), seed=0)
     x = np.array([[0.5, 1.5], [-0.1, 0.9]])
@@ -205,6 +219,28 @@ def test_training_seed_has_no_effect(small_xy):
     b, _ = kan_train(kan_init((10, 2, 1), seed=0), x, y, steps=30, seed=99)
     for la, lb in zip(a.coefs, b.coefs):
         assert np.array_equal(la, lb)
+
+
+def test_cached_basis_training_is_bitwise_plain_descent(small_xy):
+    # kan_train evaluates the first layer's basis once; stepping with a
+    # basis rebuilt at every step must give the same bits.
+    x, y = small_xy[0][:, :4], small_xy[1]
+    net = kan_init((4, 3, 1), seed=2)
+    trained, trace = kan_train(net, x, y, steps=40, learning_rate=0.5, lam=1e-3)
+    coefs = [c.copy() for c in net.coefs]
+    bypass = [b.copy() for b in net.bypass]
+    current = KanNetwork(net.layout, net.grid_size, tuple(coefs), tuple(bypass))
+    losses = []
+    for _ in range(40):
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, gc, gb, _ = _loss_and_grads(current, x, y, 1e-3)
+        losses.append(loss)
+        for l in range(len(coefs)):
+            coefs[l] -= 0.5 * gc[l]
+            bypass[l] -= 0.5 * gb[l]
+    assert trace == tuple(losses)
+    for got, want in zip(trained.coefs + trained.bypass, current.coefs + current.bypass):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_divergence_raises(small_xy):
@@ -364,6 +400,61 @@ def test_snap_complex_library_handles_gaussian_bump():
         expr, report = kan_snap(net, x, library="complex")
     values = eval_expression(expr, {1: u})
     assert np.abs(values - target).max() < 0.02
+
+
+#: Edge fits of the seeded (3, 3, 1) network below, captured from the dense
+#: basis and the full 25 x 25 sweep (numpy 2.4, x86-64): (layer, out, in,
+#: candidate, r2, params).  The exp and sq_shift sweeps hold their second
+#: parameter at 0, so they may not pick a different first parameter.
+SNAP_3_3_1 = [
+    (0, 0, 0, "tan", 0.9467012950814496,
+     (-2.465277777777778, 7.515432098765432, -0.08681936920183211, 0.14788479099798965)),
+    (0, 0, 1, "cos", 0.9472922700540082,
+     (-9.64891975308642, -2.681327160493827, 0.047154478988202415, 0.06254062132615612)),
+    (0, 0, 2, "exp", 0.8868608374073045,
+     (-2.20679012345679, 0.17810486011472682, -0.055211586057326796)),
+    (0, 1, 0, "gauss", 0.9807552721372194,
+     (6.109992283950616, 0.9593575608948659, 0.3372961233976582, -0.00037994558996032324)),
+    (0, 1, 1, "linear", 0.9363542688161415,
+     (0.19988378724799996, -0.024322310916136302)),
+    (0, 1, 2, "tanh", 0.8333782818335544,
+     (-11.990740740740739, 5.104166666666669, 0.021802726455633224, 0.0557418639313349)),
+    (0, 2, 0, "linear", 0.9856098132206483,
+     (0.6050861840137011, -0.06419780257454043)),
+    (0, 2, 1, "tan", 0.7268704031667848,
+     (-2.8472222222222223, -1.6242283950617278, 0.0072097992165562445, 0.0212146825772397)),
+    (0, 2, 2, "linear", 0.9512258966056939,
+     (-0.28389681123367466, 0.11419539650632637)),
+    (1, 0, 0, "tan", 0.9544198246858004,
+     (-3.5455246913580245, 0.8873456790123465, -0.1313279550531547, 0.10158708059800946)),
+    (1, 0, 1, "cos", 0.9986925662227762,
+     (-8.892746913580245, 4.108796296296298, 0.09111579706786224, 0.08083862857829381)),
+    (1, 0, 2, "linear", 0.9618702308522409,
+     (0.7306697187097202, -0.05543614850555205)),
+]
+SNAP_3_3_1_TEXT = (
+    "-(0.1313279550531547*tan(-(3.5455246913580245*(-(0.08681936920183211*tan("
+    "-(2.465277777777778*x1) + 7.515432098765432)))) - "
+    "0.16718736956079483*cos(-(9.64891975308642*x2) - 2.681327160493827) - "
+    "0.631475179187631*exp(-(2.20679012345679*x3)) + 0.3370312255431851)) + "
+    "0.09111579706786224*cos(-(2.9994890603071065*exp(-(6.109992283950616*(x1 - "
+    "0.9593575608948659)^2))) - 1.777515932124382*x2 - "
+    "0.1938861283959667*tanh(-(11.990740740740739*x3) + 5.104166666666669) + "
+    "3.8327689231667676) + 0.44211815186842895*x1 + "
+    "0.005267981965514712*tan(-(2.8472222222222223*x2) - 1.6242283950617278) + "
+    "0.7306697187097202*(-(0.28389681123367466*x3)) + 0.1790222147162798"
+)
+
+
+def test_snap_complex_library_matches_captured_fits(small_xy):
+    x, y = small_xy[0][:, :3], small_xy[1]
+    net, _ = kan_train(kan_init((3, 3, 1), seed=5), x, y, steps=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expr, report = kan_snap(net, x, library="complex")
+    got = [(e.layer, e.out_index, e.in_index, e.candidate, e.r2, e.params) for e in report.edges]
+    assert got == SNAP_3_3_1
+    assert to_text(expr) == SNAP_3_3_1_TEXT
 
 
 # --- incremental experiment --------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rwtkit.errors import DimensionMismatch, InvalidLayout, InvalidParam
+from rwtkit.errors import DimensionMismatch, InvalidLayout, InvalidParam, NonFiniteInput
 from rwtkit.mlp import MlpModel, mlp_forward, mlp_gradcheck, mlp_init, mlp_train
 
 
@@ -39,6 +39,17 @@ def test_forward_batch_matches_rows():
     batch = mlp_forward(model, x)
     rows = np.concatenate([mlp_forward(model, row) for row in x])
     assert np.allclose(batch, rows, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_rows(bad):
+    model = mlp_init((3, 5, 1), seed=0)
+    x = np.full((4, 3), 0.5)
+    x[2, 1] = bad
+    with pytest.raises(NonFiniteInput):
+        model.predict(x)
+    with pytest.raises(NonFiniteInput):
+        mlp_forward(model, x[2])
 
 
 def test_init_deterministic_and_shaped():

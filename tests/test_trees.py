@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rwtkit.errors import DimensionMismatch, EmptyData, InvalidParam
+from rwtkit.errors import DimensionMismatch, EmptyData, InvalidParam, NonFiniteInput
 from rwtkit.trees import (
     BoostedEnsemble,
     BoostParams,
@@ -287,6 +287,26 @@ def test_staged_predict_bounds(small_xy):
     assert np.allclose(model.staged_predict(x, 4), model.predict(x))
     with pytest.raises(InvalidParam):
         model.staged_predict(x, 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["cart", "rf", "gbm"])
+def test_predict_rejects_non_finite_rows(small_xy, kind, bad):
+    # A NaN fails every "<=" test, so unchecked it would reach a right child
+    # and come back as an ordinary-looking prediction.
+    x, y = small_xy
+    model = {
+        "cart": lambda: tree_fit(x, y, TreeParams(max_depth=4)),
+        "rf": lambda: rf_fit(x, y, ForestParams(n_estimators=3, max_depth=4, seed=0)),
+        "gbm": lambda: gbm_fit(x, y, BoostParams(n_estimators=3, seed=0)),
+    }[kind]()
+    rows = x[:4].copy()
+    rows[2, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        model.predict(rows)
+    with pytest.raises(NonFiniteInput):
+        predict(model, rows[2])
+    assert np.isfinite(model.predict(x[:4])).all()
 
 
 # --- dispatcher --------------------------------------------------------------
