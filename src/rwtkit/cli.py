@@ -43,12 +43,12 @@ from .dataset import (
     synth_generate,
 )
 from .equation_bank import SET_NAMES, load_bank
-from .errors import NotFound, RwtError
+from .errors import NotFound, RwtError, SchemaMismatch
 from .features import Feature, ObservationProfile, Scaler, scaler_fit
 from .kan import incremental_experiment, kan_init, kan_train, regime_layout
 from .metrics import metrics, per_group_metrics, quantile_compare
 from .mlp import mlp_init, mlp_train
-from .serialize import load_model, save_model, scaler_from_state, scaler_to_state
+from .serialize import load_model, reading, save_model, scaler_from_state, scaler_to_state
 from .shapley import BackgroundSet, export_heatmap, export_summary, shap_batch, shap_global
 from .symbolic import eval_expression
 from .trees import BoostParams, ForestParams, TreeParams, gbm_fit, rf_fit, tree_fit
@@ -282,17 +282,20 @@ def _read_profiles(out_dir: Path) -> ProfileSet:
     if not path.exists():
         raise NotFound(f"{path} missing; run ingest first")
     profiles = []
-    for line in path.read_text().splitlines():
-        rec = json.loads(line)
-        profiles.append(
-            ObservationProfile(
-                reservoir_id=rec["reservoir"],
-                date=datetime.date.fromisoformat(rec["date"]),
-                site_id=rec["site"],
-                samples=tuple((float(d), float(t)) for d, t in rec["samples"]),
-                covariates={Feature[k]: float(v) for k, v in rec["covariates"].items()},
+    with reading(path):
+        for line in path.read_text().splitlines():
+            rec = json.loads(line)
+            profiles.append(
+                ObservationProfile(
+                    reservoir_id=rec["reservoir"],
+                    date=datetime.date.fromisoformat(rec["date"]),
+                    site_id=rec["site"],
+                    samples=tuple((float(d), float(t)) for d, t in rec["samples"]),
+                    covariates={Feature[k]: float(v) for k, v in rec["covariates"].items()},
+                )
             )
-        )
+    if not profiles:
+        raise SchemaMismatch(f"{path}: no profiles")
     return ProfileSet(tuple(profiles))
 
 
@@ -300,20 +303,22 @@ def _read_scaler(out_dir: Path) -> Scaler:
     path = out_dir / "scaler.json"
     if not path.exists():
         raise NotFound(f"{path} missing; run ingest first")
-    return scaler_from_state(json.loads(path.read_text()))
+    with reading(path):
+        return scaler_from_state(json.loads(path.read_text()))
 
 
 def _read_split(out_dir: Path) -> SplitPlan:
     path = out_dir / "split.json"
     if not path.exists():
         raise NotFound(f"{path} missing; run ingest first")
-    rec = json.loads(path.read_text())
-    return SplitPlan(
-        train=tuple((r, d, s) for r, d, s in rec["train"]),
-        test=tuple((r, d, s) for r, d, s in rec["test"]),
-        ratio=float(rec["ratio"]),
-        seed=int(rec["seed"]),
-    )
+    with reading(path):
+        rec = json.loads(path.read_text())
+        return SplitPlan(
+            train=tuple((r, d, s) for r, d, s in rec["train"]),
+            test=tuple((r, d, s) for r, d, s in rec["test"]),
+            ratio=float(rec["ratio"]),
+            seed=int(rec["seed"]),
+        )
 
 
 def _normalized_split(out_dir: Path):
@@ -712,18 +717,19 @@ def cmd_report(cfg: RunConfig) -> int:
 
     notes_path = out_dir / "ingest_notes.json"
     if notes_path.exists():
-        notes = json.loads(notes_path.read_text())
-        profile_set = _read_profiles(out_dir)
-        plan = _read_split(out_dir)
-        lines.append("## Dataset")
-        lines.append("")
-        lines.append(f"- source: {notes['source']}")
-        if "truth" in notes:
-            lines.append(f"- generating truth (normalized space): `{notes['truth']}`")
-            lines.append(f"- noise sigma: {notes['noise_sigma']}")
-        lines.append(f"- profiles: {len(profile_set)} "
-                     f"({len(plan.train)} train / {len(plan.test)} test)")
-        lines.append("")
+        with reading(notes_path):
+            notes = json.loads(notes_path.read_text())
+            profile_set = _read_profiles(out_dir)
+            plan = _read_split(out_dir)
+            lines.append("## Dataset")
+            lines.append("")
+            lines.append(f"- source: {notes['source']}")
+            if "truth" in notes:
+                lines.append(f"- generating truth (normalized space): `{notes['truth']}`")
+                lines.append(f"- noise sigma: {notes['noise_sigma']}")
+            lines.append(f"- profiles: {len(profile_set)} "
+                         f"({len(plan.train)} train / {len(plan.test)} test)")
+            lines.append("")
     else:
         lines.append("## Dataset")
         lines.append("")
@@ -732,43 +738,46 @@ def cmd_report(cfg: RunConfig) -> int:
 
     metrics_path = out_dir / "metrics.json"
     if metrics_path.exists():
-        summary = json.loads(metrics_path.read_text())
-        lines.append("## Test metrics (degC)")
-        lines.append("")
-        lines.append("| model | rmse | mae | r2 |")
-        lines.append("|---|---|---|---|")
-        for name in sorted(summary):
-            row = summary[name]
-            r2 = "NA" if row["r2"] is None else _disp(float(row["r2"]))
-            lines.append(
-                f"| {name} | {_disp(float(row['rmse_c']))} "
-                f"| {_disp(float(row['mae_c']))} | {r2} |"
-            )
-        lines.append("")
+        with reading(metrics_path):
+            summary = json.loads(metrics_path.read_text())
+            lines.append("## Test metrics (degC)")
+            lines.append("")
+            lines.append("| model | rmse | mae | r2 |")
+            lines.append("|---|---|---|---|")
+            for name in sorted(summary):
+                row = summary[name]
+                r2 = "NA" if row["r2"] is None else _disp(float(row["r2"]))
+                lines.append(
+                    f"| {name} | {_disp(float(row['rmse_c']))} "
+                    f"| {_disp(float(row['mae_c']))} | {r2} |"
+                )
+            lines.append("")
 
     shap_path = out_dir / "shap_global.json"
     if shap_path.exists():
-        g = json.loads(shap_path.read_text())
-        lines.append(f"## Attribution ({g['model']}, {g['n_instances']} instances)")
-        lines.append("")
-        lines.append("| rank | feature | mean abs value | share |")
-        lines.append("|---|---|---|---|")
-        ranked = sorted(g["importance"].items(), key=lambda kv: kv[1]["rank"])
-        for name, row in ranked:
-            share = "NA" if row["percentage"] is None else _disp(float(row["percentage"])) + "%"
-            lines.append(f"| {row['rank']} | {name} | {_disp(float(row['mean_abs_shap']))} | {share} |")
-        lines.append("")
+        with reading(shap_path):
+            g = json.loads(shap_path.read_text())
+            lines.append(f"## Attribution ({g['model']}, {g['n_instances']} instances)")
+            lines.append("")
+            lines.append("| rank | feature | mean abs value | share |")
+            lines.append("|---|---|---|---|")
+            ranked = sorted(g["importance"].items(), key=lambda kv: kv[1]["rank"])
+            for name, row in ranked:
+                share = "NA" if row["percentage"] is None else _disp(float(row["percentage"])) + "%"
+                lines.append(f"| {row['rank']} | {name} | {_disp(float(row['mean_abs_shap']))} | {share} |")
+            lines.append("")
 
     curve_path = out_dir / "r2_curve.csv"
     if curve_path.exists():
-        lines.append("## Accuracy vs number of inputs")
-        lines.append("")
-        lines.append("| inputs | mean test r2 |")
-        lines.append("|---|---|")
-        for row in curve_path.read_text().splitlines()[1:]:
-            k, mean, _ = row.split(",")
-            lines.append(f"| {k} | {_disp(float(mean))} |")
-        lines.append("")
+        with reading(curve_path):
+            lines.append("## Accuracy vs number of inputs")
+            lines.append("")
+            lines.append("| inputs | mean test r2 |")
+            lines.append("|---|---|")
+            for row in curve_path.read_text().splitlines()[1:]:
+                k, mean, _ = row.split(",")
+                lines.append(f"| {k} | {_disp(float(mean))} |")
+            lines.append("")
 
     lines.append("## Reference equations")
     lines.append("")

@@ -24,7 +24,7 @@ class MissingFeature(RwtError):
 
 
 class SchemaMismatch(RwtError):
-    """A CSV stream does not match the documented header or row shape."""
+    """An input file or stream does not match its documented format."""
 
 
 class NonMonotoneDepths(RwtError):

@@ -10,6 +10,7 @@ always sorted, which makes the byte stream a pure function of the model.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import SchemaMismatch
@@ -24,6 +25,7 @@ __all__ = [
     "save_model",
     "load_model",
     "model_document",
+    "reading",
     "scaler_to_state",
     "scaler_from_state",
 ]
@@ -62,26 +64,38 @@ def save_model(model, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
+@contextmanager
+def reading(path):
+    """Report a document at ``path`` that fails to decode as :class:`SchemaMismatch`.
+
+    A truncated, emptied or hand-edited file fails while it is decoded: as
+    invalid JSON, a missing key or a value of the wrong type.  Each of them
+    means the file does not match its format.
+    """
+    try:
+        yield
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
+
+
 def load_model(path):
     """Reload a model saved by :func:`save_model`.
 
     Raises :class:`SchemaMismatch` when the file is not a model document of
-    a supported version or kind.
+    a supported version or kind, or its state does not decode.
     """
-    try:
+    with reading(path):
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaMismatch(f"{path}: not a JSON document ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
-        raise SchemaMismatch(f"{path}: not a {FORMAT_NAME} document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise SchemaMismatch(
-            f"{path}: version {doc.get('version')!r}, supported {FORMAT_VERSION}"
-        )
-    kind = doc.get("kind")
-    if kind not in _KINDS:
-        raise SchemaMismatch(f"{path}: unknown model kind {kind!r}")
-    return _KINDS[kind].from_state(doc["state"])
+        if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
+            raise SchemaMismatch(f"{path}: not a {FORMAT_NAME} document")
+        if doc.get("version") != FORMAT_VERSION:
+            raise SchemaMismatch(
+                f"{path}: version {doc.get('version')!r}, supported {FORMAT_VERSION}"
+            )
+        kind = doc.get("kind")
+        if kind not in _KINDS:
+            raise SchemaMismatch(f"{path}: unknown model kind {kind!r}")
+        return _KINDS[kind].from_state(doc["state"])
 
 
 def scaler_to_state(scaler: Scaler) -> dict:

@@ -45,7 +45,6 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
-from scipy.cluster.hierarchy import leaves_list, linkage
 
 from .errors import EmptyBackground, NonFiniteInput, TooManyFeatures
 from .features import Feature, FeatureVector
@@ -439,6 +438,10 @@ def export_heatmap(explanations) -> str:
     attribution and percentage share per feature (percentage ``NA`` when
     undefined).
     """
+    # Imported here: scipy.cluster costs every other command about 30 MB
+    # and 0.4 s of start-up.
+    from scipy.cluster.hierarchy import leaves_list, linkage
+
     explanations = tuple(explanations)
     g = shap_global(explanations)
     q = len(explanations[0].phi)

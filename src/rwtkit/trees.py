@@ -12,9 +12,16 @@ to the upper neighbouring value cannot separate the two rows and is skipped.
 
 Those rules pin the fit down to the float level, so an independent
 exhaustive enumeration of all candidates reproduces every chosen split
-bit for bit.  Internally a prefix-sum screen narrows the candidates first
-and only near-ties are rescored canonically; the screen's tolerance is far
-wider than its rounding error, so it never changes the winner.
+bit for bit.  Internally the search follows XGBoost's exact-greedy column
+block (Chen & Guestrin, KDD 2016): each column is sorted once per tree (once
+per ensemble when boosting, whose rows never change), and a node hands its
+children their rows by stable partition, which is exactly the order a
+stable argsort of the child's own values would give.  At each node one
+array screen scores every admissible midpoint of every drawn feature from
+prefix sums of the node's centred targets, and only candidates within a
+tie band of the screened optimum are rescored canonically; the band is far
+wider than the screen's rounding error, so the screen never changes the
+winner.
 
 Bagged forests average ``n_estimators`` trees fitted on bootstrap resamples
 (n draws with replacement), with ``max_features`` candidate features drawn
@@ -70,9 +77,16 @@ class TreeParams:
             raise InvalidParam(f"gamma must be >= 0, got {self.gamma}")
 
 
-def _canonical_sse(y: np.ndarray) -> float:
-    """Summed squared deviation from the mean, in documented arithmetic."""
-    return float(np.sum((y - y.mean()) ** 2))
+def _sum_and_sse(y: np.ndarray) -> tuple[float, float]:
+    """``(sum(y), sum((y - y.mean())**2))`` in documented arithmetic.
+
+    Bit for bit what ``y.sum()`` and ``np.sum((y - y.mean()) ** 2)`` give,
+    without their Python-level wrappers: numpy's mean is the same pairwise
+    sum divided by the count.
+    """
+    total = np.add.reduce(y)
+    dev = y - total / len(y)
+    return float(total), float(np.add.reduce(dev * dev))
 
 
 def _soft_threshold(value: float, alpha: float) -> float:
@@ -81,74 +95,6 @@ def _soft_threshold(value: float, alpha: float) -> float:
     if value < -alpha:
         return value + alpha
     return 0.0
-
-
-def _candidate_splits(x_col: np.ndarray, min_leaf: int) -> list[tuple[int, float]]:
-    """(left count, threshold) for every admissible midpoint of one feature."""
-    order = np.argsort(x_col, kind="stable")
-    v = x_col[order]
-    out = []
-    n = len(v)
-    for k in range(min_leaf, n - min_leaf + 1):
-        if k == 0 or k == n:
-            continue
-        a, b = v[k - 1], v[k]
-        if a == b:
-            continue
-        thr = (a + b) / 2.0
-        if thr >= b:  # cannot separate the neighbours in float arithmetic
-            continue
-        out.append((k, float(thr)))
-    return out
-
-
-def _best_split(
-    x: np.ndarray,
-    y: np.ndarray,
-    feature_ids: np.ndarray,
-    min_leaf: int,
-    min_child_weight: float,
-) -> tuple[int, float, float] | None:
-    """The winning (feature, threshold, canonical score) over ``feature_ids``.
-
-    Screens every candidate with prefix sums, then rescores everything within
-    the tie band using the canonical per-side formula; the winner minimizes
-    (score, feature index, threshold) on the rescored values.
-    """
-    n = len(y)
-    shortlist: list[tuple[int, float]] = []  # (feature, threshold)
-    screened: list[float] = []
-    for f in feature_ids:
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        ys = y[order]
-        cum = np.cumsum(ys)
-        cum_sq = np.cumsum(ys * ys)
-        total, total_sq = cum[-1], cum_sq[-1]
-        for k, thr in _candidate_splits(col, min_leaf):
-            if k < min_child_weight or (n - k) < min_child_weight:
-                continue
-            left = cum_sq[k - 1] - cum[k - 1] ** 2 / k
-            right = (total_sq - cum_sq[k - 1]) - (total - cum[k - 1]) ** 2 / (n - k)
-            shortlist.append((int(f), thr))
-            screened.append(float(left + right))
-    if not shortlist:
-        return None
-    screened_arr = np.array(screened)
-    band = _TIE_BAND * (_canonical_sse(y) + 1.0)
-    near = screened_arr <= screened_arr.min() + band
-    best: tuple[float, int, float] | None = None
-    for (f, thr), keep in zip(shortlist, near):
-        if not keep:
-            continue
-        mask = x[:, f] <= thr
-        score = _canonical_sse(y[mask]) + _canonical_sse(y[~mask])
-        key = (score, f, thr)
-        if best is None or key < best:
-            best = key
-    score, f, thr = best
-    return f, thr, score
 
 
 @dataclass(frozen=True)
@@ -247,11 +193,20 @@ class DecisionTree:
 
 
 class _TreeBuilder:
-    """Grows one tree; collects nodes preorder into parallel lists."""
+    """Grows one tree; collects nodes preorder into parallel lists.
+
+    ``cols`` is the training matrix transposed, one row per feature, and
+    ``order`` holds, for each allowed feature, the row indices sorted stably
+    by that feature's value.  A node's rows travel down the recursion twice:
+    ``idx`` in ascending row order (for the canonical arithmetic) and
+    ``rows`` as the stable partition of ``order``, which is exactly what a
+    stable argsort of the node's own values would give.
+    """
 
     def __init__(
         self,
-        x: np.ndarray,
+        cols: np.ndarray,
+        order: np.ndarray,
         y: np.ndarray,
         params: TreeParams,
         leaf_value,
@@ -260,14 +215,18 @@ class _TreeBuilder:
         min_child_weight: float,
         rng: np.random.Generator | None,
     ):
-        self.x = x
+        self.cols = cols
+        self.order = order
         self.y = y
         self.params = params
         self.leaf_value = leaf_value
         self.allowed = allowed_features
         self.max_features = max_features
-        self.min_child_weight = min_child_weight
+        # The fewest rows a child may hold; ``min_child_weight`` counts rows
+        # here (unit hessians), and a bound past ``len(y)`` forbids any split.
+        self.min_child = math.ceil(min(max(params.min_samples_leaf, min_child_weight), len(y)))
         self.rng = rng
+        self.goes_left = np.zeros(len(y), dtype=bool)
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -275,49 +234,100 @@ class _TreeBuilder:
         self.value: list[float] = []
         self.n_node: list[int] = []
 
-    def _emit(self) -> int:
+    def _pick_features(self) -> np.ndarray:
+        """Positions into ``allowed`` of the features this split may use."""
+        if self.max_features is None or self.max_features >= len(self.allowed):
+            return np.arange(len(self.allowed))
+        return np.sort(self.rng.choice(len(self.allowed), size=self.max_features, replace=False))
+
+    def _best_split(
+        self, idx: np.ndarray, rows: np.ndarray, pos: np.ndarray, stats: tuple[float, float]
+    ):
+        """The winning ``(key, mask, left, right)`` over ``allowed[pos]``, or None.
+
+        ``key`` is ``(score, feature, threshold)``, ``mask`` selects the left
+        rows of ``idx`` and ``left``/``right`` are the sides'
+        :func:`_sum_and_sse`.
+        """
+        total, sse = stats
+        m, first = len(idx), self.min_child
+        feats = self.allowed[pos]
+        by_value = rows[pos]
+        v = self.cols[feats[:, None], by_value]
+        # Prefix sums of the targets centred on the node mean: their rounding
+        # error then scales with the node's own squared error, which also
+        # sets the tie band, and not with the targets' offset.  A candidate's
+        # score is sum(centred**2) - gain, and that first term is the same
+        # for every candidate up to rounding, so the screen ranks by gain.
+        cum = (self.y[by_value] - total / m).cumsum(axis=1)
+        # Candidate j puts first + j rows left, between sorted values
+        # first + j - 1 and first + j.
+        lc, lo = cum[:, first - 1 : m - first], v[:, first - 1 : m - first]
+        hi = v[:, first : m - first + 1]
+        n_left = np.arange(first, m - first + 1.0)
+        gain = lc * lc / n_left + (cum[:, -1:] - lc) ** 2 / (m - n_left)
+        thr = (lo + hi) / 2.0
+        # A midpoint that rounds up to the upper value (equal neighbours give
+        # exactly that) cannot separate the two rows.
+        gain[thr >= hi] = -np.inf
+        top = gain.max()
+        if top == -np.inf:
+            return None
+        near = np.nonzero(gain >= top - _TIE_BAND * (sse + 1.0))
+        y_node = self.y[idx]
+        best, seen = None, set()
+        for i, j in zip(*near):
+            t = float(thr[i, j])
+            mask = self.cols[feats[i], idx] <= t
+            # A partition met before came from a smaller feature: same score,
+            # smaller key.
+            if (side := mask.tobytes()) in seen:
+                continue
+            seen.add(side)
+            left, right = _sum_and_sse(y_node[mask]), _sum_and_sse(y_node[~mask])
+            key = (left[1] + right[1], int(feats[i]), t)
+            if best is None or key < best[0]:
+                best = (key, mask, left, right)
+        return best
+
+    def grow(
+        self, idx: np.ndarray, rows: np.ndarray, stats: tuple[float, float], depth: int
+    ) -> int:
+        """Grow the subtree over ``idx``; ``stats`` is its :func:`_sum_and_sse`."""
+        node = len(self.feature)
+        total, sse = stats
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        self.value.append(0.0)
-        self.n_node.append(0)
-        return len(self.feature) - 1
-
-    def _pick_features(self) -> np.ndarray:
-        if self.max_features is None or self.max_features >= len(self.allowed):
-            return self.allowed
-        chosen = self.rng.choice(len(self.allowed), size=self.max_features, replace=False)
-        return self.allowed[np.sort(chosen)]
-
-    def grow(self, idx: np.ndarray, depth: int) -> int:
-        node = self._emit()
-        y_node = self.y[idx]
-        self.n_node[node] = len(idx)
-        self.value[node] = self.leaf_value(y_node)
-        min_leaf = self.params.min_samples_leaf
-        if depth >= self.params.max_depth or len(idx) < 2 * min_leaf:
+        self.value.append(self.leaf_value(total, len(idx)))
+        self.n_node.append(len(idx))
+        params = self.params
+        if depth >= params.max_depth or len(idx) < 2 * self.min_child or sse == 0.0:
             return node
-        parent = _canonical_sse(y_node)
-        if parent == 0.0:
+        pos = self._pick_features()
+        # Both sides' errors are >= 0, so a node whose own error is within
+        # gamma cannot gain more than gamma.  Its features are drawn all the
+        # same, so that every later node draws the ones it always drew.
+        if sse <= params.gamma:
             return node
-        found = _best_split(
-            self.x[idx], y_node, self._pick_features(), min_leaf, self.min_child_weight
-        )
+        found = self._best_split(idx, rows, pos, stats)
         if found is None:
             return node
-        f, thr, score = found
-        if not (parent - score > self.params.gamma):
+        (score, f, thr), mask, left, right = found
+        if not (sse - score > params.gamma):
             return node
-        mask = self.x[idx, f] <= thr
+        self.goes_left[idx] = mask
+        sel = self.goes_left[rows]
+        left_rows, right_rows = rows[sel].reshape(len(rows), -1), rows[~sel].reshape(len(rows), -1)
         self.feature[node] = f
         self.threshold[node] = thr
-        self.left[node] = self.grow(idx[mask], depth + 1)
-        self.right[node] = self.grow(idx[~mask], depth + 1)
+        self.left[node] = self.grow(idx[mask], left_rows, left, depth + 1)
+        self.right[node] = self.grow(idx[~mask], right_rows, right, depth + 1)
         return node
 
     def build(self) -> DecisionTree:
-        self.grow(np.arange(len(self.y)), depth=0)
+        self.grow(np.arange(len(self.y)), self.order, _sum_and_sse(self.y), depth=0)
         return DecisionTree(
             feature=np.array(self.feature, dtype=np.int64),
             threshold=np.array(self.threshold),
@@ -325,8 +335,17 @@ class _TreeBuilder:
             right=np.array(self.right, dtype=np.int64),
             value=np.array(self.value),
             n_node_samples=np.array(self.n_node, dtype=np.int64),
-            n_features=self.x.shape[1],
+            n_features=len(self.cols),
         )
+
+
+def _presort(cols: np.ndarray) -> np.ndarray:
+    """Each row's indices in stable ascending order of its values."""
+    return np.argsort(cols, axis=1, kind="stable")
+
+
+def _mean_leaf(total: float, count: int) -> float:
+    return total / count
 
 
 def _check_training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -362,11 +381,13 @@ def tree_fit(
             )
         if rng is None:
             raise InvalidParam("max_features subsampling needs an rng")
+    cols = np.ascontiguousarray(x.T)
     builder = _TreeBuilder(
-        x,
+        cols,
+        _presort(cols),
         y,
         params,
-        leaf_value=lambda leaf_y: float(leaf_y.mean()),
+        leaf_value=_mean_leaf,
         allowed_features=np.arange(x.shape[1]),
         max_features=max_features,
         min_child_weight=0.0,
@@ -446,16 +467,19 @@ def rf_fit(x, y, params: ForestParams = ForestParams()) -> Forest:
     tree_params = TreeParams(
         max_depth=params.max_depth, min_samples_leaf=params.min_samples_leaf
     )
+    cols = np.ascontiguousarray(x.T)
     streams = np.random.SeedSequence(params.seed).spawn(params.n_estimators)
     trees = []
     for stream in streams:
         rng = np.random.default_rng(stream)
         boot = rng.integers(0, n, size=n)
+        boot_cols = cols[:, boot]
         builder = _TreeBuilder(
-            x[boot],
+            boot_cols,
+            _presort(boot_cols),
             y[boot],
             tree_params,
-            leaf_value=lambda leaf_y: float(leaf_y.mean()),
+            leaf_value=_mean_leaf,
             allowed_features=np.arange(q),
             max_features=max_features,
             min_child_weight=0.0,
@@ -583,11 +607,12 @@ def gbm_fit(x, y, params: BoostParams = BoostParams()) -> BoostedEnsemble:
         gamma=params.gamma,
     )
 
-    def shrunk_leaf(leaf_y: np.ndarray) -> float:
-        total = float(leaf_y.sum())
-        return _soft_threshold(total, params.reg_alpha) / (len(leaf_y) + params.reg_lambda)
+    def shrunk_leaf(total: float, count: int) -> float:
+        return _soft_threshold(total, params.reg_alpha) / (count + params.reg_lambda)
 
     n_cols = max(1, math.ceil(params.colsample_bytree * q))
+    cols = np.ascontiguousarray(x.T)
+    order = _presort(cols)
     streams = np.random.SeedSequence(params.seed).spawn(params.n_estimators)
     pred = np.full(n, base)
     trees = []
@@ -600,7 +625,8 @@ def gbm_fit(x, y, params: BoostParams = BoostParams()) -> BoostedEnsemble:
             allowed = np.arange(q)
         residual = y - pred
         builder = _TreeBuilder(
-            x,
+            cols,
+            order[allowed],
             residual,
             tree_params,
             leaf_value=shrunk_leaf,

@@ -1,10 +1,16 @@
 """Command-line interface: config loading, commands, artifacts, determinism."""
 
+import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rwtkit
 from rwtkit.cli import ConfigError, RunConfig, load_run_config, main
 
 # --- configuration loading ---------------------------------------------------
@@ -183,6 +189,148 @@ def test_non_finite_covariate_is_runtime_error(capsys, tmp_path):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "NonFiniteInput"
     assert not (out / "metrics.json").exists()
+
+
+# --- corrupt run directories -------------------------------------------------
+
+
+def _documents(text: str, name: str) -> list:
+    return [json.loads(line) for line in text.splitlines()] if name.endswith(".jsonl") else [json.loads(text)]
+
+
+def _write_documents(docs: list, name: str) -> str:
+    if name.endswith(".jsonl"):
+        return "".join(json.dumps(d) + "\n" for d in docs)
+    return json.dumps(docs[0], indent=1) + "\n"
+
+
+def _listed(text: str, name: str) -> str:
+    """Every JSON document of the file wrapped in a one-element list."""
+    return _write_documents([[d] for d in _documents(text, name)], name)
+
+
+def _edited(*keys, value=None, drop=False):
+    """Set (or with ``drop`` delete) one nested key of the file's first document."""
+
+    def edit(text: str, name: str) -> str:
+        docs = _documents(text, name)
+        node = docs[0]
+        for key in keys[:-1]:
+            node = node[key]
+        if drop:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        return _write_documents(docs, name)
+
+    return edit
+
+
+def _emptied(text: str, name: str) -> str:
+    return ""
+
+
+def _truncated(text: str, name: str) -> str:
+    cut = len(text) // 2
+    return text[: cut + 1 if text[cut - 1] == "\n" else cut]  # never on a line boundary
+
+
+CORRUPTIONS = {
+    "split-truncated": ("split.json", _truncated),
+    "split-emptied": ("split.json", _emptied),
+    "split-type-swapped": ("split.json", _listed),
+    "split-train-not-a-list": ("split.json", _edited("train", value=3)),
+    "scaler-truncated": ("scaler.json", _truncated),
+    "scaler-emptied": ("scaler.json", _emptied),
+    "scaler-type-swapped": ("scaler.json", _listed),
+    "scaler-bound-not-a-list": ("scaler.json", _edited("feature_lo", value=3)),
+    "profiles-truncated": ("profiles.jsonl", _truncated),
+    "profiles-emptied": ("profiles.jsonl", _emptied),
+    "profiles-type-swapped": ("profiles.jsonl", _listed),
+    "profiles-samples-not-a-list": ("profiles.jsonl", _edited("samples", value=3)),
+    "model-truncated": ("model_rf.json", _truncated),
+    "model-emptied": ("model_rf.json", _emptied),
+    "model-missing-trees": ("model_rf.json", _edited("state", "trees", drop=True)),
+    "model-trees-not-a-list": ("model_rf.json", _edited("state", "trees", value="x")),
+    "model-n-features-not-a-number": ("model_cart.json", _edited("state", "n_features", value=[])),
+    "model-threshold-not-a-list": ("model_cart.json", _edited("state", "threshold", value=3)),
+    "model-state-not-a-dict": ("model_gbm.json", _edited("state", value=[])),
+    "notes-type-swapped": ("ingest_notes.json", _listed),
+    "metrics-truncated": ("metrics.json", _truncated),
+    "metrics-emptied": ("metrics.json", _emptied),
+    "shap-global-truncated": ("shap_global.json", _truncated),
+    "r2-curve-short-row": ("r2_curve.csv", lambda text, name: text + "7,0.5\n"),
+}
+
+#: Files that only ``report`` reads; every other case runs ``evaluate``.
+REPORT_ONLY = ("ingest_notes.json", "metrics.json", "shap_global.json", "r2_curve.csv")
+
+
+@pytest.fixture(scope="module")
+def trained_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corrupt") / "run"
+    base = ["--out", str(out)]
+    assert main(["ingest", "--synthetic", "--synth-profiles", "12", "--synth-samples", "4",
+                 "--synth-seed", "3"] + base) == 0
+    for model in ("cart", "rf", "gbm"):
+        assert main(["train", "--model", model, "--preset", "quick"] + base) == 0
+    assert main(["evaluate"] + base) == 0
+    assert main(["explain", "--model", "cart", "--shap-instances", "2",
+                 "--shap-background", "8"] + base) == 0
+    assert main(["kan-run", "--kan-ordering", "1", "--kan-seeds", "0", "--kan-steps", "5",
+                 "--kan-grid", "4"] + base) == 0
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_run_directory_is_schema_mismatch(trained_dir, tmp_path, capsys, case):
+    name, corrupt = CORRUPTIONS[case]
+    out = tmp_path / "run"
+    shutil.copytree(trained_dir, out)
+    path = out / name
+    path.write_text(corrupt(path.read_text(), name))
+    command = ["report", "--model", "cart"] if name in REPORT_ONLY else ["evaluate"]
+    capsys.readouterr()
+    assert main(command + ["--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SchemaMismatch"
+    assert name in record["message"]
+
+
+# --- pinned tree-model bytes ---------------------------------------------------
+
+#: SHA-256 of each published-preset tree model trained on 30 synthetic
+#: profiles (x86-64 Linux, numpy 2.4).  Any change to split search, leaf
+#: values, RNG draws or serialization shows up here.
+PUBLISHED_TREE_SHA256 = {
+    (1, "cart"): "885956fa4fd1ded78bceb8927ca0b3bac91ed8165565e8c7a9f4584449f8c27c",
+    (1, "gbm"): "e61f715160e11e7e132133a1ec8a3b6a3037e05fc23ccf64279561e2a67bcc24",
+    (1, "rf"): "781e022bebd4d2030f27f9909519fa420e339b0c503d0acc463676e210c5f305",
+    (2, "cart"): "f81e155f1d3034eeeefffd9cc4a72b2d4b91bd5b440817a06ecbe3a95a2a6c99",
+    (2, "gbm"): "1056b4900cab1f8013e0d62a99dc841abb4b312e5bc165786ca395af52acd31a",
+    (2, "rf"): "2253aeab7bf85a56d172bc0f670f981b0a8538ba2b32133409ddf12f29113ab9",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_published_tree_models_match_pinned_bytes(tmp_path, seed):
+    base = ["--out", str(tmp_path / "r")]
+    assert main(["ingest", "--synthetic", "--synth-profiles", "30", "--synth-samples", "6",
+                 "--synth-seed", str(seed), "--split-seed", str(seed)] + base) == 0
+    for model in ("cart", "rf", "gbm"):
+        assert main(["train", "--model", model, "--preset", "published"] + base) == 0
+        data = (tmp_path / "r" / f"model_{model}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == PUBLISHED_TREE_SHA256[(seed, model)], model
+
+
+def test_cli_import_leaves_scipy_cluster_unloaded():
+    # Only the explain heatmap clusters; importing scipy.cluster up front
+    # would cost every command about 30 MB.
+    env = {**os.environ, "PYTHONPATH": str(Path(rwtkit.__file__).parents[1])}
+    code = "import sys, rwtkit.cli; print('scipy.cluster' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # --- synthetic end-to-end pipeline -------------------------------------------

@@ -98,6 +98,93 @@ def test_oracle_agreement_with_min_leaf_and_gamma():
         assert_matches_oracle(tree_fit(x, y, params), oracle_tree(x, y, params))
 
 
+def exhaustive_stage_tree(x, r, max_depth, min_child, gamma, depth=0):
+    """One boosting stage's tree by brute force, leaves as ('leaf', sum, rows).
+
+    Every midpoint of every feature is scored canonically; a split needs at
+    least ``min_child`` rows on each side and a gain above ``gamma``.
+    """
+    leaf = ("leaf", float(r.sum()), len(r))
+    if depth >= max_depth:
+        return leaf
+    best = None
+    for f in range(x.shape[1]):
+        v = np.sort(x[:, f])
+        for k in range(1, len(r)):
+            if k < min_child or len(r) - k < min_child or v[k - 1] == v[k]:
+                continue
+            thr = (v[k - 1] + v[k]) / 2.0
+            if thr >= v[k]:
+                continue
+            mask = x[:, f] <= thr
+            key = (oracle_sse(r[mask]) + oracle_sse(r[~mask]), f, float(thr))
+            if best is None or key < best:
+                best = key
+    if best is None or not (oracle_sse(r) - best[0] > gamma):
+        return leaf
+    _, f, thr = best
+    mask = x[:, f] <= thr
+    return (
+        f,
+        thr,
+        exhaustive_stage_tree(x[mask], r[mask], max_depth, min_child, gamma, depth + 1),
+        exhaustive_stage_tree(x[~mask], r[~mask], max_depth, min_child, gamma, depth + 1),
+    )
+
+
+def assert_stage_matches(tree, node, params, idx=0):
+    if node[0] == "leaf":
+        _, total, rows = node
+        shrunk = max(abs(total) - params.reg_alpha, 0.0) * np.sign(total)
+        assert tree.feature[idx] == -1
+        assert tree.n_node_samples[idx] == rows
+        assert tree.value[idx] == shrunk / (rows + params.reg_lambda)
+        return
+    f, thr, left, right = node
+    assert tree.feature[idx] == f
+    assert tree.threshold[idx] == thr
+    assert_stage_matches(tree, left, params, tree.left[idx])
+    assert_stage_matches(tree, right, params, tree.right[idx])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_boosted_stages_match_exhaustive_enumeration(seed):
+    # Rounded inputs force value ties; min_child_weight and gamma both prune.
+    rng = np.random.default_rng(100 + seed)
+    n, q = int(rng.integers(30, 81)), int(rng.integers(1, 5))
+    x = np.round(rng.uniform(0.0, 1.0, size=(n, q)), 1)
+    y = np.round(rng.normal(0.0, 1.0, size=n), 1)
+    params = BoostParams(
+        n_estimators=3,
+        learning_rate=0.5,
+        max_depth=int(rng.integers(2, 6)),
+        gamma=float(rng.choice([0.05, 0.5, 2.0])),
+        min_child_weight=float(rng.choice([1.0, 2.5, 4.0])),
+        reg_alpha=float(rng.choice([0.0, 0.2])),
+        seed=seed,
+    )
+    model = gbm_fit(x, y, params)
+    min_child = int(np.ceil(params.min_child_weight))
+    for stage, tree in enumerate(model.trees):
+        residual = y - model.staged_predict(x, stage)
+        oracle = exhaustive_stage_tree(x, residual, params.max_depth, min_child, params.gamma)
+        assert_stage_matches(tree, oracle, params)
+
+
+@pytest.mark.parametrize("offset", [1e5, -3e5, 1e6])
+def test_oracle_agreement_with_large_target_offset(offset):
+    # The prefix-sum screen must stay inside the tie band when the targets'
+    # offset dwarfs their spread: uncentred prefix sums of y ~ 1e5 carry
+    # rounding errors near 1e-5, above the band, and lose the true winner.
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        n, q = int(rng.integers(10, 60)), int(rng.integers(1, 4))
+        x = np.round(rng.uniform(0.0, 1.0, size=(n, q)), 2)
+        y = rng.normal(size=n) + offset
+        params = TreeParams(max_depth=int(rng.integers(1, 6)), min_samples_leaf=int(rng.integers(1, 3)))
+        assert_matches_oracle(tree_fit(x, y, params), oracle_tree(x, y, params))
+
+
 def test_exact_interpolation_on_distinct_rows():
     rng = np.random.default_rng(1)
     x = rng.uniform(0.0, 1.0, size=(40, 3))
