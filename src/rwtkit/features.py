@@ -108,10 +108,6 @@ FIXED_FEATURE_RANGES: dict[Feature, tuple[float, float]] = {
 #: fixes a conventional reservoir range wide enough for the source data.
 DEFAULT_TARGET_RANGE: tuple[float, float] = (0.0, 40.0)
 
-#: Temperature difference (deg C) across a profile beyond which it is
-#: considered thermally stratified.
-STRATIFICATION_THRESHOLD_C = 1.0
-
 #: Profiles shorter than this carry too little vertical structure to keep.
 MIN_PROFILE_SAMPLES = 4
 
@@ -162,18 +158,6 @@ class ObservationProfile:
     @property
     def n_samples(self) -> int:
         return len(self.samples)
-
-    def depths(self) -> np.ndarray:
-        return np.array([d for d, _ in self.samples], dtype=float)
-
-    def temperatures(self) -> np.ndarray:
-        return np.array([t for _, t in self.samples], dtype=float)
-
-    @property
-    def is_stratified(self) -> bool:
-        """True when top-to-bottom temperature spread exceeds 1 deg C."""
-        temps = self.temperatures()
-        return float(temps.max() - temps.min()) > STRATIFICATION_THRESHOLD_C
 
 
 @dataclass(frozen=True)

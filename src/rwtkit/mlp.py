@@ -97,7 +97,8 @@ class MlpModel:
         """Inference prediction from summed first-layer terms (n, width)."""
         z = s + self.biases[0]
         for w, b in zip(self.weights[1:], self.biases[1:]):
-            z = np.maximum(z, 0.0) @ w + b
+            z = np.maximum(z, 0.0, out=z) @ w
+            z += b
         return z[:, 0]
 
 

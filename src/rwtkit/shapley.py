@@ -22,7 +22,10 @@ is exact:
 * The MLP and the spline network have an additive first layer: the
   first-layer sum for coalition S is ``pre(b) + bits(S) @ (phi(x) -
   phi(b))`` with phi the per-input terms, so the first layer sees 1 + M
-  rows and only the later layers see the 2^q x M batch.
+  rows and only the later layers see the 2^q x M batch.  That batch runs
+  in fixed-size blocks of coalitions, so that a block's widest activation
+  holds at most 2^14 values (128 KiB) whatever q is; only a background so
+  large that 4 coalitions exceed it gets blocks of 4.
 * Any other model or callable enumerates the 2^q coalitions, pushing every
   hybrid row through its prediction function.  Passing ``model.predict``
   instead of the model takes this path, which makes it the oracle for the
@@ -47,7 +50,7 @@ from math import factorial
 import numpy as np
 
 from .errors import EmptyBackground, NonFiniteInput, TooManyFeatures
-from .features import Feature, FeatureVector
+from .features import Feature, model_rows
 from .kan import KanNetwork
 from .mlp import MlpModel
 from .trees import BoostedEnsemble, DecisionTree, Forest
@@ -72,6 +75,10 @@ EFFICIENCY_TOL = 1e-9
 
 #: Rows per model call when a coalition batch is evaluated in chunks.
 _CHUNK_ROWS = 1 << 17
+
+#: Values in the widest activation of one block of a network's coalition
+#: batch (rows times layer width): 128 KiB, well inside a core's L2 cache.
+_BLOCK_VALUES = 1 << 14
 
 _WEIGHT_CACHE: dict[int, np.ndarray] = {}
 
@@ -144,10 +151,6 @@ class BackgroundSet:
     def n_features(self) -> int:
         return self.rows.shape[1]
 
-    @classmethod
-    def from_feature_vectors(cls, vectors) -> "BackgroundSet":
-        return cls(np.stack([v.as_array() for v in vectors]))
-
     def subsample(self, size: int, seed: int = 0) -> "BackgroundSet":
         """At most ``size`` rows, drawn without replacement, original order."""
         if size < 1:
@@ -159,17 +162,6 @@ class BackgroundSet:
         return BackgroundSet(self.rows[chosen])
 
 
-def _as_row(x, q: int) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        x = x.as_array()
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.shape != (q,):
-        raise ValueError(f"instance has shape {arr.shape}, background has {q} features")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput("instance must be finite")
-    return arr
-
-
 def coalition_value(model, x, subset, background: BackgroundSet) -> float:
     """Mean prediction with columns in ``subset`` pinned to ``x``.
 
@@ -178,7 +170,7 @@ def coalition_value(model, x, subset, background: BackgroundSet) -> float:
     at x.
     """
     q = background.n_features
-    row = _as_row(x, q)
+    (row,) = model_rows(x, q)
     cols = sorted(set(int(c) for c in subset))
     if cols and (cols[0] < 0 or cols[-1] >= q):
         raise ValueError(f"subset {cols} outside columns 0..{q - 1}")
@@ -253,10 +245,17 @@ def _factored_table(model, tables, x: np.ndarray, bits: np.ndarray) -> np.ndarra
     m, q, h = terms.shape
     delta = (model.input_terms(x)[0] - terms).transpose(1, 0, 2).reshape(q, m * h)
     values = np.empty(len(bits))
-    chunk = max(1, _CHUNK_ROWS // m)
+    # Blocks are a power of two of at least 4 masks.  numpy hands a one-row
+    # product to a matrix-vector kernel with other bits, and OpenBLAS takes
+    # (rows, h) @ (h, 1) four rows at a time with a separate path for the
+    # rest, so these blocks give every row the bits of a whole-table block.
+    fit = _BLOCK_VALUES // (m * max(model.layout[1:]))
+    chunk = min(len(bits), 1 << max(2, fit.bit_length() - 1))
+    buffer = np.empty((chunk, m * h))
     for start in range(0, len(bits), chunk):
         sel = slice(start, start + chunk)
-        hidden = (bits[sel] @ delta).reshape(-1, m, h) + pre
+        hidden = np.matmul(bits[sel], delta, out=buffer).reshape(-1, m, h)
+        hidden += pre
         values[sel] = model.head(hidden.reshape(-1, h)).reshape(-1, m).mean(axis=1)
     return values
 
@@ -286,13 +285,11 @@ def _box_bits(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _leaf_tables(model, background: BackgroundSet):
     """Scaled leaf values, boxes, background membership bits and base value."""
-    if isinstance(model, DecisionTree):
-        trees, scale = (model,), 1.0
-    elif isinstance(model, Forest):
-        trees, scale = model.trees, 1.0 / len(model.trees)
-    else:
-        trees, scale = model.trees, model.params.learning_rate
-    value, lo, hi = (np.concatenate(part) for part in zip(*(t.leaf_boxes() for t in trees)))
+    if isinstance(model, BoostedEnsemble):
+        scale = model.params.learning_rate
+    else:  # a forest averages its trees; a lone tree is a forest of one
+        scale = 1.0 / len(getattr(model, "trees", (model,)))
+    value, lo, hi = model.leaf_boxes()
     base = float(np.mean(model.predict(background.rows)))
     return scale * value, lo, hi, _box_bits(lo, hi, background.rows), base
 
@@ -328,7 +325,7 @@ def shap_exact(model, x, background: BackgroundSet, instance_key: str = "") -> S
         raise TooManyFeatures(
             f"exact enumeration supports up to {MAX_EXACT_FEATURES} features, got {q}"
         )
-    row = _as_row(x, q)
+    (row,) = model_rows(x, q)
     bits = _coalition_bits(q)
     if isinstance(model, (DecisionTree, Forest, BoostedEnsemble)):
         tables = _prepared(model, background, _leaf_tables)

@@ -34,7 +34,8 @@ prediction time, never the stored leaves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,9 @@ __all__ = [
     "gbm_fit",
     "predict",
 ]
+
+#: (trees x rows) leaf lookups per block of a descent; bounds its index arrays.
+_DESCENT_BLOCK = 1 << 16
 
 #: Screening tolerance for near-tied split candidates, scaled by the node's
 #: total squared error.  Anything within this band of the screened optimum
@@ -97,6 +101,68 @@ def _soft_threshold(value: float, alpha: float) -> float:
     return 0.0
 
 
+class _NodeTable:
+    """Trees concatenated into one set of flat node arrays.
+
+    Tree ``t`` occupies the nodes from ``roots[t]`` on, in its own preorder;
+    ``left`` and ``right`` index the whole table.  One descent routes every
+    row through every tree at once.
+    """
+
+    def __init__(self, trees, n_features: int):
+        sizes = [len(t) for t in trees]
+        self.roots = np.cumsum([0] + sizes[:-1])
+        self.feature, self.threshold, self.left, self.right, self.value = (
+            np.concatenate([getattr(t, name) for t in trees])
+            for name in ("feature", "threshold", "left", "right", "value"))
+        self.left += np.repeat(self.roots, sizes)
+        self.right += np.repeat(self.roots, sizes)
+        self.n_features = n_features
+
+    def _leaves(self, x: np.ndarray) -> np.ndarray:
+        """The leaf each tree routes each row of ``x`` to, shape (trees, rows)."""
+        node = np.repeat(self.roots, len(x))
+        row = np.tile(np.arange(len(x)), len(self.roots))
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            go_left = x[row[live], self.feature[at]] <= self.threshold[at]
+            node[live] = nxt = np.where(go_left, self.left[at], self.right[at])
+            live = live[self.feature[nxt] >= 0]
+        return node.reshape(len(self.roots), len(x))
+
+    def reduce(self, x, combine) -> np.ndarray:
+        """``combine`` applied to the (trees, rows) leaf values of each block
+        of rows, concatenated.
+
+        numpy sums one column pairwise and several columns sequentially, so
+        the last block takes in a trailing single row: a block holds one row
+        only when ``x`` does, and every row is summed as in one whole block.
+        """
+        x = model_rows(x, self.n_features)
+        starts = range(0, max(len(x) - 1, 1), max(2, _DESCENT_BLOCK // len(self.roots)))
+        return np.concatenate([combine(self.value[self._leaves(x[a:b])])
+                               for a, b in zip(starts, [*starts[1:], len(x)])])
+
+    def leaf_boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`DecisionTree.leaf_boxes` of every tree, in table order."""
+        lo = np.full((len(self.feature), self.n_features), -np.inf)
+        hi = np.full((len(self.feature), self.n_features), np.inf)
+        frontier = self.roots
+        while frontier.size:
+            inner = frontier[self.feature[frontier] >= 0]
+            f, thr = self.feature[inner], self.threshold[inner]
+            left, right = self.left[inner], self.right[inner]
+            for child in (left, right):
+                lo[child] = lo[inner]
+                hi[child] = hi[inner]
+            hi[left, f] = np.minimum(hi[inner, f], thr)
+            lo[right, f] = np.maximum(lo[inner, f], thr)
+            frontier = np.concatenate([left, right])
+        leaves = self.feature < 0
+        return self.value[leaves], lo[leaves], hi[leaves]
+
+
 @dataclass(frozen=True)
 class DecisionTree:
     """A fitted regression tree in flat-array form.
@@ -130,20 +196,12 @@ class DecisionTree:
                 depths[self.right[i]] = depths[i] + 1
         return int(depths.max()) if len(depths) else 0
 
+    @cached_property
+    def _table(self) -> _NodeTable:
+        return _NodeTable((self,), self.n_features)
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = model_rows(x, self.n_features)
-        idx = np.zeros(len(x), dtype=np.int64)
-        while True:
-            feat = self.feature[idx]
-            active = feat >= 0
-            if not np.any(active):
-                break
-            rows = np.nonzero(active)[0]
-            f = feat[rows]
-            go_left = x[rows, f] <= self.threshold[idx[rows]]
-            nxt = np.where(go_left, self.left[idx[rows]], self.right[idx[rows]])
-            idx[rows] = nxt
-        return self.value[idx]
+        return self._table.reduce(x, lambda v: v[0])
 
     def leaf_boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(value, lo, hi)`` for each leaf, in node order.
@@ -152,21 +210,7 @@ class DecisionTree:
         reaches a leaf exactly when ``lo < x <= hi`` in every column, which
         is the ``<=``-goes-left rule applied along the leaf's path.
         """
-        lo = np.full((len(self.feature), self.n_features), -np.inf)
-        hi = np.full((len(self.feature), self.n_features), np.inf)
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            inner = frontier[self.feature[frontier] >= 0]
-            f, thr = self.feature[inner], self.threshold[inner]
-            left, right = self.left[inner], self.right[inner]
-            for child in (left, right):
-                lo[child] = lo[inner]
-                hi[child] = hi[inner]
-            hi[left, f] = np.minimum(hi[inner, f], thr)
-            lo[right, f] = np.maximum(lo[inner, f], thr)
-            frontier = np.concatenate([left, right])
-        leaves = self.feature < 0
-        return self.value[leaves], lo[leaves], hi[leaves]
+        return self._table.leaf_boxes()
 
     def to_state(self) -> dict:
         return {
@@ -192,6 +236,10 @@ class DecisionTree:
         )
 
 
+def _mean_leaf(total: float, count: int) -> float:
+    return total / count
+
+
 class _TreeBuilder:
     """Grows one tree; collects nodes preorder into parallel lists.
 
@@ -209,24 +257,26 @@ class _TreeBuilder:
         order: np.ndarray,
         y: np.ndarray,
         params: TreeParams,
-        leaf_value,
-        allowed_features: np.ndarray,
-        max_features: int | None,
-        min_child_weight: float,
         rng: np.random.Generator | None,
+        max_features: int | None = None,
+        leaf_value=_mean_leaf,
+        allowed_features: np.ndarray | None = None,
+        min_child_weight: float = 0.0,
     ):
         self.cols = cols
         self.order = order
         self.y = y
         self.params = params
         self.leaf_value = leaf_value
-        self.allowed = allowed_features
+        self.allowed = np.arange(len(cols)) if allowed_features is None else allowed_features
         self.max_features = max_features
         # The fewest rows a child may hold; ``min_child_weight`` counts rows
         # here (unit hessians), and a bound past ``len(y)`` forbids any split.
         self.min_child = math.ceil(min(max(params.min_samples_leaf, min_child_weight), len(y)))
         self.rng = rng
         self.goes_left = np.zeros(len(y), dtype=bool)
+        # The leaf each training row ends in, filled in as leaves are made.
+        self.leaf = np.zeros(len(y), dtype=np.int64)
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -241,16 +291,26 @@ class _TreeBuilder:
         return np.sort(self.rng.choice(len(self.allowed), size=self.max_features, replace=False))
 
     def _best_split(
-        self, idx: np.ndarray, rows: np.ndarray, pos: np.ndarray, stats: tuple[float, float]
+        self, idx: np.ndarray, rows: np.ndarray, stats: tuple[float, float], depth: int
     ):
-        """The winning ``(key, mask, left, right)`` over ``allowed[pos]``, or None.
+        """The split a node at ``depth`` takes as ``(key, mask, left, right)``,
+        or None when it stays a leaf.
 
         ``key`` is ``(score, feature, threshold)``, ``mask`` selects the left
         rows of ``idx`` and ``left``/``right`` are the sides'
         :func:`_sum_and_sse`.
         """
         total, sse = stats
+        params = self.params
         m, first = len(idx), self.min_child
+        if depth >= params.max_depth or m < 2 * first or sse == 0.0:
+            return None
+        pos = self._pick_features()
+        # Both sides' errors are >= 0, so a node whose own error is within
+        # gamma cannot gain more than gamma.  Its features are drawn all the
+        # same, so that every later node draws the ones it always drew.
+        if sse <= params.gamma:
+            return None
         feats = self.allowed[pos]
         by_value = rows[pos]
         v = self.cols[feats[:, None], by_value]
@@ -288,35 +348,24 @@ class _TreeBuilder:
             key = (left[1] + right[1], int(feats[i]), t)
             if best is None or key < best[0]:
                 best = (key, mask, left, right)
-        return best
+        return best if sse - best[0][0] > params.gamma else None
 
     def grow(
         self, idx: np.ndarray, rows: np.ndarray, stats: tuple[float, float], depth: int
     ) -> int:
         """Grow the subtree over ``idx``; ``stats`` is its :func:`_sum_and_sse`."""
         node = len(self.feature)
-        total, sse = stats
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        self.value.append(self.leaf_value(total, len(idx)))
+        self.value.append(self.leaf_value(stats[0], len(idx)))
         self.n_node.append(len(idx))
-        params = self.params
-        if depth >= params.max_depth or len(idx) < 2 * self.min_child or sse == 0.0:
-            return node
-        pos = self._pick_features()
-        # Both sides' errors are >= 0, so a node whose own error is within
-        # gamma cannot gain more than gamma.  Its features are drawn all the
-        # same, so that every later node draws the ones it always drew.
-        if sse <= params.gamma:
-            return node
-        found = self._best_split(idx, rows, pos, stats)
+        found = self._best_split(idx, rows, stats, depth)
         if found is None:
+            self.leaf[idx] = node
             return node
-        (score, f, thr), mask, left, right = found
-        if not (sse - score > params.gamma):
-            return node
+        (_, f, thr), mask, left, right = found
         self.goes_left[idx] = mask
         sel = self.goes_left[rows]
         left_rows, right_rows = rows[sel].reshape(len(rows), -1), rows[~sel].reshape(len(rows), -1)
@@ -344,8 +393,9 @@ def _presort(cols: np.ndarray) -> np.ndarray:
     return np.argsort(cols, axis=1, kind="stable")
 
 
-def _mean_leaf(total: float, count: int) -> float:
-    return total / count
+def _sorted_mean(v: np.ndarray) -> np.ndarray:
+    v.sort(axis=0)
+    return v.sum(axis=0) / len(v)
 
 
 def _check_training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -382,18 +432,7 @@ def tree_fit(
         if rng is None:
             raise InvalidParam("max_features subsampling needs an rng")
     cols = np.ascontiguousarray(x.T)
-    builder = _TreeBuilder(
-        cols,
-        _presort(cols),
-        y,
-        params,
-        leaf_value=_mean_leaf,
-        allowed_features=np.arange(x.shape[1]),
-        max_features=max_features,
-        min_child_weight=0.0,
-        rng=rng,
-    )
-    return builder.build()
+    return _TreeBuilder(cols, _presort(cols), y, params, rng, max_features).build()
 
 
 @dataclass(frozen=True)
@@ -413,12 +452,26 @@ class ForestParams:
             raise InvalidParam(f"max_features must be >= 1, got {self.max_features}")
 
 
+class _Ensemble:
+    """The node table of ``self.trees``, built on first use."""
+
+    @cached_property
+    def _table(self) -> _NodeTable:
+        return _NodeTable(self.trees, self.n_features)
+
+    def leaf_boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every tree's :meth:`DecisionTree.leaf_boxes`, concatenated in tree order."""
+        return self._table.leaf_boxes()
+
+
 @dataclass(frozen=True)
-class Forest:
+class Forest(_Ensemble):
     """A bagged ensemble predicting the mean of its trees.
 
-    Tree outputs are sorted before averaging, so the prediction is exactly
-    invariant under any permutation of the trees.
+    Its trees are concatenated, once per model and never serialized, into
+    one node table that a single descent routes every row through.  Each
+    row's per-tree values are sorted before they are summed, so the
+    prediction is exactly invariant under any permutation of the trees.
     """
 
     trees: tuple[DecisionTree, ...]
@@ -426,21 +479,12 @@ class Forest:
     n_features: int
 
     def predict(self, x) -> np.ndarray:
-        x = model_rows(x, self.n_features)
-        stacked = np.stack([t.predict(x) for t in self.trees])
-        stacked.sort(axis=0)
-        return stacked.sum(axis=0) / len(self.trees)
+        return self._table.reduce(x, _sorted_mean)
 
     def to_state(self) -> dict:
         return {
             "n_features": self.n_features,
-            "params": {
-                "n_estimators": self.params.n_estimators,
-                "max_features": self.params.max_features,
-                "max_depth": self.params.max_depth,
-                "min_samples_leaf": self.params.min_samples_leaf,
-                "seed": self.params.seed,
-            },
+            "params": asdict(self.params),
             "trees": [t.to_state() for t in self.trees],
         }
 
@@ -474,17 +518,8 @@ def rf_fit(x, y, params: ForestParams = ForestParams()) -> Forest:
         rng = np.random.default_rng(stream)
         boot = rng.integers(0, n, size=n)
         boot_cols = cols[:, boot]
-        builder = _TreeBuilder(
-            boot_cols,
-            _presort(boot_cols),
-            y[boot],
-            tree_params,
-            leaf_value=_mean_leaf,
-            allowed_features=np.arange(q),
-            max_features=max_features,
-            min_child_weight=0.0,
-            rng=rng,
-        )
+        builder = _TreeBuilder(boot_cols, _presort(boot_cols), y[boot], tree_params, rng,
+                               max_features)
         trees.append(builder.build())
     return Forest(trees=tuple(trees), params=params, n_features=q)
 
@@ -526,12 +561,15 @@ class BoostParams:
 
 
 @dataclass(frozen=True)
-class BoostedEnsemble:
+class BoostedEnsemble(_Ensemble):
     """A gradient-boosted sum of trees over a constant base score.
 
     Prediction is ``base_score + learning_rate * sum(tree(x))``; the stored
-    leaf values are unscaled.  ``train_mse`` traces the training
-    mean-squared error after each stage.
+    leaf values are unscaled.  The trees are concatenated, once per model
+    and never serialized, into one node table that a single descent routes
+    every row through; the scaled leaf values are then added in stage
+    order, one at a time, onto the base score.  ``train_mse`` traces the
+    training mean-squared error after each stage.
     """
 
     base_score: float
@@ -541,38 +579,25 @@ class BoostedEnsemble:
     train_mse: tuple[float, ...] = field(repr=False, default=())
 
     def predict(self, x) -> np.ndarray:
-        x = model_rows(x, self.n_features)
-        out = np.full(len(x), self.base_score)
-        for tree in self.trees:
-            out = out + self.params.learning_rate * tree.predict(x)
-        return out
+        return self.staged_predict(x, len(self.trees))
 
     def staged_predict(self, x, n_stages: int) -> np.ndarray:
         """Prediction using only the first ``n_stages`` trees."""
         if not (0 <= n_stages <= len(self.trees)):
             raise InvalidParam(f"n_stages must be 0..{len(self.trees)}")
-        x = model_rows(x, self.n_features)
-        out = np.full(len(x), self.base_score)
-        for tree in self.trees[:n_stages]:
-            out = out + self.params.learning_rate * tree.predict(x)
-        return out
+
+        def staged(v: np.ndarray) -> np.ndarray:
+            terms = [np.full((1, v.shape[1]), self.base_score),
+                     self.params.learning_rate * v[:n_stages]]
+            return np.add.accumulate(np.concatenate(terms))[-1]  # row by row, for any shape
+
+        return self._table.reduce(x, staged)
 
     def to_state(self) -> dict:
         return {
             "n_features": self.n_features,
             "base_score": repr(float(self.base_score)),
-            "params": {
-                "n_estimators": self.params.n_estimators,
-                "learning_rate": self.params.learning_rate,
-                "max_depth": self.params.max_depth,
-                "gamma": self.params.gamma,
-                "colsample_bytree": self.params.colsample_bytree,
-                "min_child_weight": self.params.min_child_weight,
-                "reg_alpha": self.params.reg_alpha,
-                "reg_lambda": self.params.reg_lambda,
-                "min_samples_leaf": self.params.min_samples_leaf,
-                "seed": self.params.seed,
-            },
+            "params": asdict(self.params),
             "trees": [t.to_state() for t in self.trees],
             "train_mse": [repr(float(v)) for v in self.train_mse],
         }
@@ -600,6 +625,7 @@ def gbm_fit(x, y, params: BoostParams = BoostParams()) -> BoostedEnsemble:
     """
     x, y = _check_training_data(x, y)
     n, q = x.shape
+    model_rows(x, q)  # non-finite inputs raise here, as the fitted model would
     base = float(y.mean())
     tree_params = TreeParams(
         max_depth=params.max_depth,
@@ -624,20 +650,12 @@ def gbm_fit(x, y, params: BoostParams = BoostParams()) -> BoostedEnsemble:
         else:
             allowed = np.arange(q)
         residual = y - pred
-        builder = _TreeBuilder(
-            cols,
-            order[allowed],
-            residual,
-            tree_params,
-            leaf_value=shrunk_leaf,
-            allowed_features=allowed,
-            max_features=None,
-            min_child_weight=params.min_child_weight,
-            rng=rng,
-        )
+        builder = _TreeBuilder(cols, order[allowed], residual, tree_params, rng,
+                               leaf_value=shrunk_leaf, allowed_features=allowed,
+                               min_child_weight=params.min_child_weight)
         tree = builder.build()
         trees.append(tree)
-        pred = pred + params.learning_rate * tree.predict(x)
+        pred = pred + params.learning_rate * tree.value[builder.leaf]
         trace.append(float(np.mean((y - pred) ** 2)))
     return BoostedEnsemble(
         base_score=base,

@@ -323,6 +323,39 @@ def test_published_tree_models_match_pinned_bytes(tmp_path, seed):
         assert hashlib.sha256(data).hexdigest() == PUBLISHED_TREE_SHA256[(seed, model)], model
 
 
+#: SHA-256 of the explain outputs for each model kind on 20 synthetic
+#: profiles (x86-64 Linux, numpy 2.4): 6 instances, 30 background rows.
+#: Any change to the attribution arithmetic or the predictions shows up here.
+EXPLAIN_SHA256 = {
+    ("gbm", "shap_global.json"): "245e707fe997f38e6e16e500e0489a6d83247053fd5a4d31967dac9fb8ed71c6",
+    ("gbm", "shap_heatmap.csv"): "01d899d8455679c01ce76e5281ec73436dbf8ea616c37ed2ab00423300b5e793",
+    ("gbm", "shap_summary.csv"): "1bfde57ee59dcd451a9c62cc3d96c9d32b4019bb2e01cea9fa94d6e008341c91",
+    ("kan", "shap_global.json"): "82ce97fbb797e6525043924be60af442742404207dfa42bdf7e4841742836185",
+    ("kan", "shap_heatmap.csv"): "a57d3e3f2c90d3ba04d11b885ef0298dbb4cd203aff401e46e02d2785cf6335a",
+    ("kan", "shap_summary.csv"): "4eea92015a575237076622e0d4aa23942f6fcba7818b158bd631b6a05b960cf6",
+    ("mlp", "shap_global.json"): "b52c5830d8587f40cf74f1e70d40d41aeea11dac66292a39d9e3b14dc729ca24",
+    ("mlp", "shap_heatmap.csv"): "0337afa0a5513b9e773f98b35581e6e6f41275adee645d2fe75bcf37e83675be",
+    ("mlp", "shap_summary.csv"): "3aad8fe555f5f0345407f3d315f009270b483d92f2514fc8b69d658380365459",
+    ("rf", "shap_global.json"): "9fa8aae5fbd419ddad877349957dceee936b5e1896798be780db271abe21e122",
+    ("rf", "shap_heatmap.csv"): "a1c62944ecb995886cac17ace9b5c43b397124057ccf74107d89c8ca6aea578b",
+    ("rf", "shap_summary.csv"): "ac20adec15e9b1c914ec277ad58ab00ae04ee95679e3bcd5fc4b4270206ceb9d",
+}
+
+
+def test_explain_outputs_match_pinned_bytes(tmp_path):
+    base = ["--out", str(tmp_path / "r")]
+    assert main(["ingest", "--synthetic", "--synth-profiles", "20", "--synth-samples", "5",
+                 "--synth-seed", "3", "--split-seed", "3"] + base) == 0
+    for model, preset in (("rf", "published"), ("gbm", "published"), ("mlp", "quick"),
+                          ("kan", "quick")):
+        assert main(["train", "--model", model, "--preset", preset] + base) == 0
+        assert main(["explain", "--model", model, "--shap-instances", "6",
+                     "--shap-background", "30"] + base) == 0
+        for name in ("shap_summary.csv", "shap_heatmap.csv", "shap_global.json"):
+            data = (tmp_path / "r" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == EXPLAIN_SHA256[(model, name)], (model, name)
+
+
 def test_cli_import_leaves_scipy_cluster_unloaded():
     # Only the explain heatmap clusters; importing scipy.cluster up front
     # would cost every command about 30 MB.

@@ -7,7 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rwtkit.errors import EmptyBackground, NonFiniteInput, RwtError, TooManyFeatures
+from rwtkit import shapley
+from rwtkit.errors import (
+    DimensionMismatch,
+    EmptyBackground,
+    NonFiniteInput,
+    RwtError,
+    TooManyFeatures,
+)
 from rwtkit.kan import kan_init
 from rwtkit.mlp import mlp_init
 from rwtkit.shapley import (
@@ -119,6 +126,15 @@ def test_coalition_value_endpoints():
     assert coalition_value(model, x, [0], background) == pytest.approx(1.5)
     with pytest.raises(ValueError):
         coalition_value(model, x, [7], background)
+
+
+def test_wrong_width_instance_is_dimension_mismatch():
+    model = LinearModel([1.0, 2.0])
+    background = BackgroundSet(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(DimensionMismatch):
+        shap_exact(model, np.ones(3), background)
+    with pytest.raises(DimensionMismatch):
+        coalition_value(model, np.ones(3), [0], background)
 
 
 def test_shap_batch_matches_single(small_xy):
@@ -290,6 +306,31 @@ def test_spline_network_path_matches_enumerator(hidden):
     rows = rng.uniform(-0.5, 1.5, size=(6, q))
     assert net.out_of_range(rows).any() and net.out_of_range(background.rows).any()
     assert_matches_enumerator(net, rows, background)
+
+
+@pytest.mark.parametrize(
+    "layout", [(6, 1), (6, 5, 1), (6, 7, 5, 1), ("kan", 6, 2, 1), ("kan", 6, 3, 2, 1)]
+)
+def test_factored_table_bytes_do_not_depend_on_block_size(monkeypatch, layout):
+    # The smallest block (4 masks), a middle one and the whole table in one
+    # block; 9 background rows, so no block's row count is a multiple of 4
+    # unless its mask count is.
+    rng = np.random.default_rng(len(layout))
+    if layout[0] == "kan":
+        model = kan_init(layout[1:], grid_size=6, seed=2)
+        model = replace(model, coefs=tuple(rng.normal(size=c.shape) for c in model.coefs))
+    else:
+        model = mlp_init(layout, seed=3)
+        model = replace(model, biases=tuple(rng.normal(size=b.shape) for b in model.biases))
+    background = BackgroundSet(rng.uniform(-0.3, 1.3, size=(9, 6)))
+    tables = shapley._first_layer_tables(model, background)
+    bits = shapley._coalition_bits(6)
+    for row in rng.uniform(-0.5, 1.5, size=(3, 6)):
+        got = set()
+        for block in (1, 600, 1 << 30):
+            monkeypatch.setattr(shapley, "_BLOCK_VALUES", block)
+            got.add(shapley._factored_table(model, tables, row, bits).tobytes())
+        assert len(got) == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

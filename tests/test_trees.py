@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rwtkit import trees
 from rwtkit.errors import DimensionMismatch, EmptyData, InvalidParam, NonFiniteInput
 from rwtkit.trees import (
     BoostedEnsemble,
@@ -394,6 +395,145 @@ def test_predict_rejects_non_finite_rows(small_xy, kind, bad):
     with pytest.raises(NonFiniteInput):
         predict(model, rows[2])
     assert np.isfinite(model.predict(x[:4])).all()
+
+
+# --- node table against the per-tree loops -------------------------------------
+#
+# The per-tree descents and reductions that the ensembles' node table
+# replaced, kept as the reference: predictions, stages and leaf boxes must
+# agree bit for bit.
+
+
+def loop_tree_predict(tree, x):
+    x = np.atleast_2d(x)
+    idx = np.zeros(len(x), dtype=np.int64)
+    while True:
+        feat = tree.feature[idx]
+        active = feat >= 0
+        if not np.any(active):
+            return tree.value[idx]
+        rows = np.nonzero(active)[0]
+        go_left = x[rows, feat[rows]] <= tree.threshold[idx[rows]]
+        idx[rows] = np.where(go_left, tree.left[idx[rows]], tree.right[idx[rows]])
+
+
+def loop_predict(model, x, n_stages=None):
+    if isinstance(model, Forest):
+        stacked = np.stack([loop_tree_predict(t, x) for t in model.trees])
+        stacked.sort(axis=0)
+        return stacked.sum(axis=0) / len(model.trees)
+    if isinstance(model, BoostedEnsemble):
+        out = np.full(len(np.atleast_2d(x)), model.base_score)
+        for tree in model.trees[:n_stages]:
+            out = out + model.params.learning_rate * loop_tree_predict(tree, x)
+        return out
+    return loop_tree_predict(model, x)
+
+
+def loop_leaf_boxes(tree):
+    lo = np.full((len(tree.feature), tree.n_features), -np.inf)
+    hi = np.full((len(tree.feature), tree.n_features), np.inf)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        inner = frontier[tree.feature[frontier] >= 0]
+        f, thr = tree.feature[inner], tree.threshold[inner]
+        left, right = tree.left[inner], tree.right[inner]
+        for child in (left, right):
+            lo[child] = lo[inner]
+            hi[child] = hi[inner]
+        hi[left, f] = np.minimum(hi[inner, f], thr)
+        lo[right, f] = np.maximum(lo[inner, f], thr)
+        frontier = np.concatenate([left, right])
+    leaves = tree.feature < 0
+    return tree.value[leaves], lo[leaves], hi[leaves]
+
+
+def table_models(seed):
+    """cart, a 24-tree forest and a 40-stage ensemble, plus query rows of
+    which every third sits on split thresholds."""
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(2, 7))
+    x = np.round(rng.normal(size=(120, q)), 1)
+    y = np.sin(x).sum(axis=1) + 0.3 * rng.normal(size=120) + 10.0 ** seed
+    models = (
+        tree_fit(x, y, TreeParams(max_depth=8)),
+        rf_fit(x, y, ForestParams(n_estimators=24, max_features=max(1, q // 2), seed=seed)),
+        gbm_fit(x, y, BoostParams(n_estimators=40, learning_rate=0.1, max_depth=4,
+                                  gamma=(0.0, 0.3)[seed % 2], colsample_bytree=0.7, seed=seed)),
+    )
+    thresholds = np.concatenate([t.threshold[t.feature >= 0] for m in models
+                                 for t in getattr(m, "trees", (m,))])
+    rows = rng.normal(size=(301, q))
+    rows[::3] = rng.choice(thresholds, size=rows[::3].shape)
+    return x, y, models, rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_node_table_predict_matches_per_tree_loops(seed):
+    _, _, models, rows = table_models(seed)
+    for model in models:
+        # One row alone is summed pairwise, several sequentially.
+        for x in (rows[0], rows[:1], rows[:2], rows[:3], rows[:7], rows, rows[:0]):
+            assert model.predict(x).tobytes() == loop_predict(model, x).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_staged_predict_and_train_mse_match_per_stage_loop(seed):
+    x, y, (_, _, model), rows = table_models(seed)
+    for k in range(len(model.trees) + 1):
+        assert model.staged_predict(rows, k).tobytes() == loop_predict(model, rows, k).tobytes()
+        assert model.staged_predict(rows[5], k).tobytes() == loop_predict(model, rows[5], k).tobytes()
+    # The fit takes each stage's training predictions from the rows' leaves.
+    trace = [float(np.mean((y - loop_predict(model, x, k)) ** 2)) for k in range(1, 41)]
+    assert model.train_mse == tuple(trace)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leaf_boxes_match_per_tree_loop(seed):
+    _, _, models, _ = table_models(seed)
+    for model in models:
+        members = getattr(model, "trees", (model,))
+        for tree in members:
+            for got, want in zip(tree.leaf_boxes(), loop_leaf_boxes(tree)):
+                assert got.tobytes() == want.tobytes()
+        joined = [np.concatenate(part) for part in zip(*map(loop_leaf_boxes, members))]
+        for got, want in zip(model.leaf_boxes(), joined):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [240, trees._DESCENT_BLOCK])
+def test_descent_runs_in_blocks(monkeypatch, block):
+    # At 240 lookups a block the forest descends 10 rows at a time and the
+    # ensemble 6, so 301 rows leave one row over, which the last block takes
+    # in (a lone row would be summed pairwise).  At the default block the
+    # forest and the ensemble need more than one block for 3311 rows.
+    _, _, models, rows = table_models(1)
+    if block == trees._DESCENT_BLOCK:
+        rows = np.concatenate([rows] * 11)
+    monkeypatch.setattr(trees, "_DESCENT_BLOCK", block)
+    sizes = []
+    leaves = trees._NodeTable._leaves
+    monkeypatch.setattr(trees._NodeTable, "_leaves",
+                        lambda self, x: sizes.append(len(x)) or leaves(self, x))
+    for model in models:
+        sizes.clear()
+        assert model.predict(rows).tobytes() == loop_predict(model, rows).tobytes()
+        n_trees = len(getattr(model, "trees", (model,)))
+        assert sum(sizes) == len(rows) and min(sizes) > 1
+        assert max(sizes) <= block // n_trees + 1
+        assert len(sizes) > 1 or n_trees == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rows_rejected_by_stages_and_boosting_fit(small_xy, bad):
+    x, y = small_xy
+    model = gbm_fit(x, y, BoostParams(n_estimators=3, seed=0))
+    rows = x[:4].copy()
+    rows[1, 2] = bad
+    with pytest.raises(NonFiniteInput):
+        model.staged_predict(rows, 2)
+    with pytest.raises(NonFiniteInput):
+        gbm_fit(rows, y[:4], BoostParams(n_estimators=3, seed=0))
 
 
 # --- dispatcher --------------------------------------------------------------
