@@ -95,9 +95,6 @@ class ProfileSet:
     def keys(self) -> tuple[ProfileKey, ...]:
         return tuple(p.key for p in self.profiles)
 
-    def by_key(self) -> dict[ProfileKey, ObservationProfile]:
-        return {p.key: p for p in self.profiles}
-
     def n_samples(self) -> int:
         return sum(p.n_samples for p in self.profiles)
 

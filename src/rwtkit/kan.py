@@ -20,6 +20,8 @@ before it is returned.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -432,7 +434,10 @@ def _affine_feature(transform, guard=None):
 
 
 def _guard_away_from_zero(arg):
-    return np.min(np.abs(arg), axis=-1) >= _RANGE_GUARD
+    # arg is monotone along the sorted grid, so a sign change between its
+    # ends is a zero in between, however far from zero the grid points are
+    one_sign = np.sign(arg[..., 0]) == np.sign(arg[..., -1])
+    return one_sign & (np.min(np.abs(arg), axis=-1) >= _RANGE_GUARD)
 
 
 def _guard_positive(arg):
@@ -776,6 +781,65 @@ class StepRecord:
     config: dict
 
 
+def _fit_record(xt, y_train, xv, y_test, regime, seed, var_indices, config) -> StepRecord:
+    """One (prefix, seed) record: train from scratch, snap, score.
+
+    Everything it uses arrives as an argument, so it gives the same record
+    inline and in a worker process.
+    """
+    net = kan_init(regime_layout(regime, xt.shape[1]), grid_size=config["grid_size"], seed=seed)
+    net, _ = kan_train(net, xt, y_train, steps=config["steps"],
+                       learning_rate=config["learning_rate"], lam=config["lam"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expr, report = kan_snap(net, xt, library=regime, var_indices=var_indices)
+    return StepRecord(
+        n_inputs=xt.shape[1],
+        regime=regime,
+        seed=int(seed),
+        r2_train=metrics(y_train, net.forward(xt)).r2,
+        r2_test=metrics(y_test, net.forward(xv)).r2,
+        expression_text=to_text(expr),
+        n_failed_edges=report.n_failed,
+        snap_tolerance=report.tolerance,
+        config=dict(config),
+    )
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` records: one per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_tasks))
+
+
+def _fit_records_in_pool(tasks: list, workers: int) -> tuple[StepRecord, ...]:
+    """:func:`_fit_record` over ``tasks`` in ``workers`` processes, in task order.
+
+    The widest prefix is dispatched first, since it takes longest.  The
+    first error in task order cancels the tasks not yet started, waits for
+    every worker to exit and is raised as the inline loop would raise it.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers need no ``if __name__ == "__main__"`` guard in the
+    # caller's script, which spawned ones do: without it every worker
+    # re-runs the script and the pool breaks.  Elsewhere fork is unsafe
+    # with the system libraries numpy may link, so workers are spawned.
+    start = "fork" if sys.platform.startswith("linux") else "spawn"
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(start))
+    try:
+        futures = [None] * len(tasks)
+        for i in sorted(range(len(tasks)), key=lambda i: -tasks[i][0].shape[1]):
+            futures[i] = pool.submit(_fit_record, *tasks[i])
+        return tuple(f.result() for f in futures)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def incremental_experiment(
     x_train,
     y_train,
@@ -797,6 +861,9 @@ def incremental_experiment(
     ``regime`` layout.  Every (prefix, seed) pair trains from scratch, is
     scored on train and test, and is snapped to an expression whose
     variables are numbered by ``var_indices`` (defaults to column+1).
+    The pairs are independent, so they run one per usable CPU in worker
+    processes (inline when that is one); the records do not depend on how
+    many ran at once.
     """
     x_train = np.asarray(x_train, dtype=float)
     x_test = np.asarray(x_test, dtype=float)
@@ -811,32 +878,13 @@ def incremental_experiment(
         "learning_rate": learning_rate,
         "lam": lam,
     }
-    records: list[StepRecord] = []
+    tasks = []
     for k in range(1, len(ordering) + 1):
         cols = ordering[:k]
         xt, xv = x_train[:, cols], x_test[:, cols]
-        for seed in seeds:
-            net = kan_init(regime_layout(regime, k), grid_size=grid_size, seed=seed)
-            net, _ = kan_train(net, xt, y_train, steps=steps, learning_rate=learning_rate, lam=lam)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                expr, report = kan_snap(
-                    net,
-                    xt,
-                    library=regime,
-                    var_indices=var_indices[:k],
-                )
-            records.append(
-                StepRecord(
-                    n_inputs=k,
-                    regime=regime,
-                    seed=int(seed),
-                    r2_train=metrics(y_train, net.forward(xt)).r2,
-                    r2_test=metrics(y_test, net.forward(xv)).r2,
-                    expression_text=to_text(expr),
-                    n_failed_edges=report.n_failed,
-                    snap_tolerance=report.tolerance,
-                    config=dict(config),
-                )
-            )
-    return tuple(records)
+        tasks.extend((xt, y_train, xv, y_test, regime, seed, var_indices[:k], config)
+                     for seed in seeds)
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        return tuple(_fit_record(*task) for task in tasks)
+    return _fit_records_in_pool(tasks, workers)

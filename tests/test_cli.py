@@ -356,11 +356,14 @@ def test_explain_outputs_match_pinned_bytes(tmp_path):
             assert hashlib.sha256(data).hexdigest() == EXPLAIN_SHA256[(model, name)], (model, name)
 
 
-def test_cli_import_leaves_scipy_cluster_unloaded():
-    # Only the explain heatmap clusters; importing scipy.cluster up front
-    # would cost every command about 30 MB.
+@pytest.mark.parametrize("module", ["scipy.cluster", "concurrent.futures.process",
+                                    "multiprocessing"])
+def test_cli_import_leaves_scipy_cluster_unloaded(module):
+    # Only the explain heatmap clusters, and only kan-run starts worker
+    # processes; importing either up front would cost every command, in
+    # memory (scipy.cluster, about 30 MB) or start-up time (the pool).
     env = {**os.environ, "PYTHONPATH": str(Path(rwtkit.__file__).parents[1])}
-    code = "import sys, rwtkit.cli; print('scipy.cluster' in sys.modules)"
+    code = f"import sys, rwtkit.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"

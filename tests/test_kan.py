@@ -1,11 +1,17 @@
 """Spline networks: forward oracle, gradients, training, and distillation."""
 
+import json
+import multiprocessing
+import os
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
+from rwtkit import kan as kan_module
 from rwtkit.bspline import CubicSplineBasis
+from rwtkit.cli import main as cli_main
 from rwtkit.errors import Diverged, InvalidLayout, NonFiniteInput, SnapFailure
 from rwtkit.kan import (
     KanNetwork,
@@ -446,6 +452,20 @@ SNAP_3_3_1_TEXT = (
 )
 
 
+def test_reciprocal_fit_keeps_pole_between_grid_points_out():
+    # 10u - 5 changes sign at u = 0.5, which falls between two of the 256
+    # grid points, so no grid point comes near the pole
+    u = np.linspace(0.0, 1.0, 256)
+    arg = 10.0 * u - 5.0
+    assert np.min(np.abs(arg)) > 0.019
+    assert not kan_module._guard_away_from_zero(arg[np.newaxis, np.newaxis, :])[0, 0]
+    for cand, v in ((kan_module._RECIP, 1.0 / arg), (kan_module._RECIP2, 1.0 / arg**2)):
+        got = cand.fit(u, v)
+        if got is not None:
+            a, b, _, _ = got[0]
+            assert min(b, a + b) > 0.0 or max(b, a + b) < 0.0, (cand.name, got[0])
+
+
 def test_snap_complex_library_matches_captured_fits(small_xy):
     x, y = small_xy[0][:, :3], small_xy[1]
     net, _ = kan_train(kan_init((3, 3, 1), seed=5), x, y, steps=200)
@@ -460,15 +480,19 @@ def test_snap_complex_library_matches_captured_fits(small_xy):
 # --- incremental experiment --------------------------------------------------
 
 
-def test_incremental_experiment_structure(synth_small):
+def _normalized_split(synth):
     from rwtkit.dataset import design_matrix, split_profiles
 
-    dm = design_matrix(synth_small.profile_set)
-    plan = split_profiles(synth_small.profile_set, ratio=0.7, seed=0)
-    xtr, ytr, _ = dm.subset(plan.train).normalized(synth_small.scaler)
-    xte, yte, _ = dm.subset(plan.test).normalized(synth_small.scaler)
+    dm = design_matrix(synth.profile_set)
+    plan = split_profiles(synth.profile_set, ratio=0.7, seed=0)
+    xtr, ytr, _ = dm.subset(plan.train).normalized(synth.scaler)
+    xte, yte, _ = dm.subset(plan.test).normalized(synth.scaler)
+    return xtr, ytr, xte, yte
+
+
+def test_incremental_experiment_structure(synth_small):
     records = incremental_experiment(
-        xtr, ytr, xte, yte,
+        *_normalized_split(synth_small),
         ordering=(0, 2),
         regime="simple",
         seeds=(0, 1),
@@ -482,3 +506,103 @@ def test_incremental_experiment_structure(synth_small):
         assert r.r2_train is None or r.r2_train <= 1.0
         assert r.snap_tolerance >= 0.0
         assert r.config["steps"] == 150
+
+
+# --- records in worker processes ------------------------------------------------
+
+
+def _force_workers(monkeypatch, n):
+    monkeypatch.setattr(kan_module, "_worker_count", lambda n_tasks: min(n, n_tasks))
+
+
+def test_worker_count_is_usable_cpus_capped_by_tasks():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert kan_module._worker_count(0) == 1
+    assert kan_module._worker_count(1) == 1
+    assert kan_module._worker_count(10_000) == cpus
+
+
+def test_pooled_records_equal_inline_records(monkeypatch, synth_small):
+    split = _normalized_split(synth_small)
+    runs = {}
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        runs[workers] = incremental_experiment(*split, ordering=(0, 2, 1), seeds=(0, 1),
+                                               steps=60)
+        assert multiprocessing.active_children() == []
+    assert [(r.n_inputs, r.seed) for r in runs[2]] == [
+        (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)
+    ]
+    assert runs[2] == runs[1]
+
+
+def test_record_needs_no_state_inherited_through_fork(synth_small):
+    # Where workers are spawned they start from a fresh import.
+    from concurrent.futures import ProcessPoolExecutor
+
+    xtr, ytr, xte, yte = _normalized_split(synth_small)
+    config = {"grid_size": 5, "steps": 40, "learning_rate": 0.5, "lam": 1e-3}
+    task = (xtr[:, [0, 2]], ytr, xte[:, [0, 2]], yte, "complex", 1, [1, 3], config)
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        spawned = pool.submit(kan_module._fit_record, *task).result(timeout=300)
+    assert multiprocessing.active_children() == []
+    assert spawned == kan_module._fit_record(*task)
+
+
+def test_pooled_error_is_the_first_in_task_order(monkeypatch, synth_small):
+    # The first record trains and snaps, then fails on a non-finite test
+    # row.  The second, widest and so dispatched first, diverges at once on
+    # a huge input column.  The inline loop raises the first record's error.
+    xtr, ytr, xte, yte = _normalized_split(synth_small)
+    xtr, xte = xtr.copy(), xte.copy()
+    xtr[:, 1] *= 1e200
+    xte[0, 0] = np.nan
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(NonFiniteInput):
+            incremental_experiment(xtr, ytr, xte, yte, ordering=(0, 1), seeds=(0,), steps=300)
+        assert multiprocessing.active_children() == []
+    with pytest.raises(Diverged, match="at step 0$"):
+        incremental_experiment(xtr, ytr, xte, yte, ordering=(1,), seeds=(0,), steps=300)
+
+
+def _kan_run(out, *extra):
+    return cli_main(["kan-run", "--kan-ordering", "1,3", "--kan-seeds", "0,1",
+                     "--kan-steps", "60", "--kan-grid", "5",
+                     "--out", str(out), *extra])
+
+
+@pytest.fixture(scope="module")
+def ingested_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pool") / "run"
+    assert cli_main(["ingest", "--synthetic", "--synth-profiles", "16", "--synth-samples", "4",
+                     "--synth-seed", "3", "--out", str(out)]) == 0
+    return out
+
+
+def test_kan_run_bytes_do_not_depend_on_workers(monkeypatch, ingested_dir, tmp_path):
+    outputs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        shutil.copytree(ingested_dir, out)
+        _force_workers(monkeypatch, workers)
+        assert _kan_run(out) == 0
+        assert multiprocessing.active_children() == []
+        outputs[workers] = {name: (out / name).read_bytes() for name in
+                            ("kan_records.jsonl", "r2_curve.csv", "kan_run.manifest.json")}
+    assert len(outputs[2]["kan_records.jsonl"].splitlines()) == 4
+    assert outputs[2] == outputs[1]
+
+
+def test_kan_run_diverging_in_pool_writes_error_record(monkeypatch, ingested_dir, tmp_path,
+                                                         capsys):
+    out = tmp_path / "run"
+    shutil.copytree(ingested_dir, out)
+    _force_workers(monkeypatch, 2)
+    capsys.readouterr()
+    assert _kan_run(out, "--kan-lr", "1e4", "--kan-steps", "200") == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "Diverged"
+    assert "non-finite loss" in record["message"]
+    assert not (out / "kan_records.jsonl").exists()
+    assert multiprocessing.active_children() == []
