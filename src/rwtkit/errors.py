@@ -89,7 +89,11 @@ class ParseError(RwtError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+    def __reduce__(self):
+        return type(self), (self.message, self.position)
 
 
 class UnknownFunction(ParseError):

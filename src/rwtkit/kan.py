@@ -13,9 +13,9 @@ closed forms (grid sweep over the inner affine parameters, exact least
 squares for the outer scale and offset, then repeated zooming; entirely
 deterministic).  Candidates are scored by R-squared minus a per-parameter
 penalty, rational candidates with a pole inside the edge's reachable input
-range are rejected outright, and the winning forms are composed layer by
-layer into one expression, which is checked against the network itself
-before it is returned.
+range are rejected, a candidate that cannot win even at R-squared 1 is not
+fitted, and the winning forms are composed layer by layer into one
+expression, which is checked against the network before it is returned.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def kan_forward(net: KanNetwork, x) -> float | np.ndarray:
 
 def _loss_and_grads(net: KanNetwork, x: np.ndarray, y: np.ndarray, lam: float,
                     bas0: np.ndarray | None = None):
-    """Total loss, parameter gradients, and the smallest |edge output|.
+    """Total loss and parameter gradients.
 
     Loss is mean squared error plus ``lam`` times the sum over edges of the
     mean absolute edge output.  ``bas0`` as for :func:`_forward_full`.
@@ -243,10 +243,8 @@ def _loss_and_grads(net: KanNetwork, x: np.ndarray, y: np.ndarray, lam: float,
     pred, caches = _forward_full(net, x, bas0)
     err = pred - y
     loss = float(np.mean(err * err))
-    min_abs_edge = np.inf
     for cache in caches:
         loss += lam * float(np.mean(np.abs(cache["edge_out"]), axis=0).sum())
-        min_abs_edge = min(min_abs_edge, float(np.min(np.abs(cache["edge_out"]))))
     grads_c = []
     grads_b = []
     upstream = (2.0 / n) * err[:, np.newaxis]  # (n, Q) gradient w.r.t. layer output
@@ -261,7 +259,7 @@ def _loss_and_grads(net: KanNetwork, x: np.ndarray, y: np.ndarray, lam: float,
             upstream = np.einsum("nqp,nqp->np", s, cache["edge_slope"])
     grads_c.reverse()
     grads_b.reverse()
-    return loss, grads_c, grads_b, min_abs_edge
+    return loss, grads_c, grads_b
 
 
 def kan_train(
@@ -294,7 +292,7 @@ def kan_train(
     trace = []
     for step in range(steps):
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, gc, gb, _ = _loss_and_grads(current, x, y, lam, bas0)
+            loss, gc, gb = _loss_and_grads(current, x, y, lam, bas0)
         if not np.isfinite(loss):
             raise Diverged(f"non-finite loss at step {step}")
         trace.append(loss)
@@ -320,7 +318,7 @@ def kan_gradcheck(net: KanNetwork, x, y, lam: float = 1e-3, eps: float = 1e-5) -
     coefs = [c.copy() for c in net.coefs]
     bypass = [b.copy() for b in net.bypass]
     probe = replace(net, coefs=tuple(coefs), bypass=tuple(bypass))
-    _, gc, gb, _ = _loss_and_grads(probe, x, y, lam)
+    _, gc, gb = _loss_and_grads(probe, x, y, lam)
     analytic = np.concatenate([g.ravel() for g in gc] + [g.ravel() for g in gb])
     arrays = coefs + bypass
     theta0 = np.concatenate([a.ravel() for a in arrays])
@@ -330,7 +328,7 @@ def kan_gradcheck(net: KanNetwork, x, y, lam: float = 1e-3, eps: float = 1e-5) -
         for arr in arrays:
             arr.flat[:] = theta[offset : offset + arr.size]
             offset += arr.size
-        loss, _, _, _ = _loss_and_grads(probe, x, y, lam)
+        loss, _, _ = _loss_and_grads(probe, x, y, lam)
         return loss
 
     numeric = np.zeros_like(theta0)
@@ -428,26 +426,30 @@ def _sweep(u, v, make_feature, p1_lo, p1_hi, p2_lo, p2_hi):
 def _affine_feature(transform, guard=None):
     def make(a_grid, b_grid, u):
         arg = a_grid[:, np.newaxis, np.newaxis] * u + b_grid[np.newaxis, :, np.newaxis]
-        valid = None if guard is None else guard(arg)
-        return transform(arg), valid
+        f = transform(arg)
+        return f, None if guard is None else guard(arg, f)
     return make
 
 
-def _guard_away_from_zero(arg):
+def _guard_away_from_zero(arg, f):
     # arg is monotone along the sorted grid, so a sign change between its
     # ends is a zero in between, however far from zero the grid points are
     one_sign = np.sign(arg[..., 0]) == np.sign(arg[..., -1])
     return one_sign & (np.min(np.abs(arg), axis=-1) >= _RANGE_GUARD)
 
 
-def _guard_positive(arg):
+def _guard_positive(arg, f):
     return np.min(arg, axis=-1) >= _RANGE_GUARD
 
 
-def _guard_tan(arg):
-    finite = np.min(np.abs(np.cos(arg)), axis=-1) >= 1e-2
-    span = np.abs(arg[..., -1] - arg[..., 0]) if arg.shape[-1] > 1 else np.zeros(arg.shape[:-1])
-    return finite & (span < np.pi)
+def _guard_tan(arg, f):
+    # |cos| >= 1e-2 is |tan| <= 99.995, so only a peak |tan| near that needs the cos test
+    valid = np.abs(arg[..., -1] - arg[..., 0]) < np.pi
+    peak = np.max(np.abs(f), axis=-1)
+    near = valid & (peak > 99.0) & (peak < 101.0)
+    valid &= peak <= 99.0
+    valid[near] = np.min(np.abs(np.cos(arg[near])), axis=-1) >= 1e-2
+    return valid
 
 
 def _fit_constant(u, v):
@@ -674,10 +676,12 @@ def kan_snap(
     points) over its reachable range — the span of values it actually sees
     on ``x_sample`` — and fitted against the library; the best candidate by
     ``r2 - param_penalty * n_params`` wins, earlier library entries winning
-    ties.  Edges whose best R-squared falls below ``min_edge_r2`` are
-    recorded as failed and either warned about (``on_poor_fit="warn"``, the
-    default, still emitting the expression) or raised as
-    :class:`SnapFailure`.
+    ties.  Edge R-squared never exceeds 1, so a candidate is not fitted at
+    all when the best score so far is at least ``1 - param_penalty *
+    n_params``; fitting it could not change the result.  Edges whose best
+    R-squared falls below ``min_edge_r2`` are recorded as failed and either
+    warned about (``on_poor_fit="warn"``, the default, still emitting the
+    expression) or raised as :class:`SnapFailure`.
 
     ``var_indices`` maps input columns to canonical predictor numbers
     (1-based); by default column p is ``x<p+1>``.  Returns the composed,
@@ -709,6 +713,8 @@ def kan_snap(
                 v = edge_function(net, l, qi, pi, u)
                 best = None
                 for cand in candidates:
+                    if best is not None and best[0] >= 1.0 - param_penalty * cand.n_params:
+                        continue
                     got = cand.fit(u, v)
                     if got is None:
                         continue

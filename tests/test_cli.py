@@ -356,6 +356,23 @@ def test_explain_outputs_match_pinned_bytes(tmp_path):
             assert hashlib.sha256(data).hexdigest() == EXPLAIN_SHA256[(model, name)], (model, name)
 
 
+#: SHA-256 of a complex-regime kan-run on 40 synthetic profiles (x86-64 Linux,
+#: numpy 2.4).  Any change to spline training or snapping shows up here.
+KAN_RUN_SHA256 = {
+    "kan_records.jsonl": "d9d201808425d1a84d8645f3b66fed091de8764f6b84bf6347739b755e6749e1",
+    "r2_curve.csv": "d0d06d25021f2b2ff29626c5f55333dc80146c120199c1c1c16c5dc545de508d",
+}
+
+
+def test_kan_run_outputs_match_pinned_bytes(tmp_path):
+    base = ["--out", str(tmp_path / "r")]
+    assert main(["ingest", "--synthetic", "--synth-profiles", "40"] + base) == 0
+    assert main(["kan-run", "--kan-regime", "complex", "--kan-ordering", "1,2",
+                 "--kan-seeds", "0", "--kan-steps", "100"] + base) == 0
+    for name, want in KAN_RUN_SHA256.items():
+        assert hashlib.sha256((tmp_path / "r" / name).read_bytes()).hexdigest() == want, name
+
+
 @pytest.mark.parametrize("module", ["scipy.cluster", "concurrent.futures.process",
                                     "multiprocessing"])
 def test_cli_import_leaves_scipy_cluster_unloaded(module):

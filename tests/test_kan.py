@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import shutil
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from rwtkit.bspline import CubicSplineBasis
 from rwtkit.cli import main as cli_main
 from rwtkit.errors import Diverged, InvalidLayout, NonFiniteInput, SnapFailure
 from rwtkit.kan import (
+    COMPLEX_LIBRARY,
+    SIMPLE_LIBRARY,
+    EdgeReport,
     KanNetwork,
     edge_function,
     _forward_full,
@@ -27,7 +31,7 @@ from rwtkit.kan import (
     min_abs_edge_output,
     regime_layout,
 )
-from rwtkit.symbolic import eval_expression, to_text
+from rwtkit.symbolic import Var, add, const, eval_expression, simplify, to_text
 
 GRID = 8
 
@@ -239,7 +243,7 @@ def test_cached_basis_training_is_bitwise_plain_descent(small_xy):
     losses = []
     for _ in range(40):
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, gc, gb, _ = _loss_and_grads(current, x, y, 1e-3)
+            loss, gc, gb = _loss_and_grads(current, x, y, 1e-3)
         losses.append(loss)
         for l in range(len(coefs)):
             coefs[l] -= 0.5 * gc[l]
@@ -458,7 +462,7 @@ def test_reciprocal_fit_keeps_pole_between_grid_points_out():
     u = np.linspace(0.0, 1.0, 256)
     arg = 10.0 * u - 5.0
     assert np.min(np.abs(arg)) > 0.019
-    assert not kan_module._guard_away_from_zero(arg[np.newaxis, np.newaxis, :])[0, 0]
+    assert not kan_module._guard_away_from_zero(arg[np.newaxis, np.newaxis, :], None)[0, 0]
     for cand, v in ((kan_module._RECIP, 1.0 / arg), (kan_module._RECIP2, 1.0 / arg**2)):
         got = cand.fit(u, v)
         if got is not None:
@@ -475,6 +479,162 @@ def test_snap_complex_library_matches_captured_fits(small_xy):
     got = [(e.layer, e.out_index, e.in_index, e.candidate, e.r2, e.params) for e in report.edges]
     assert got == SNAP_3_3_1
     assert to_text(expr) == SNAP_3_3_1_TEXT
+
+
+def _reference_snap(net, x, library, param_penalty):
+    """kan_snap with every candidate fitted on every edge: the oracle for its skip."""
+    _, caches = _forward_full(net, x)
+    exprs = [Var(p + 1) for p in range(net.n_inputs)]
+    reports = []
+    for l, cache in enumerate(caches):
+        next_exprs = []
+        for qi in range(net.layout[l + 1]):
+            terms = []
+            for pi in range(net.layout[l]):
+                reached = cache["a"][:, pi]
+                u = np.linspace(float(reached.min()), float(reached.max()), 256)
+                v = edge_function(net, l, qi, pi, u)
+                best = None
+                for cand in library:
+                    got = cand.fit(u, v)
+                    if got is None:
+                        continue
+                    params, pred = got
+                    r2 = kan_module._edge_r2(v, pred)
+                    score = r2 - param_penalty * cand.n_params
+                    if best is None or score > best[0]:
+                        best = (score, cand, params, r2)
+                _, cand, params, r2 = best
+                reports.append(EdgeReport(l, qi, pi, cand.name, tuple(float(p) for p in params),
+                                          r2, float(u.min()), float(u.max()), r2 < 0.9))
+                terms.append(cand.build(exprs[pi], params))
+            next_exprs.append(simplify(add(*terms)))
+        exprs = next_exprs
+    return simplify(exprs[0]), tuple(reports)
+
+
+def _counted(library, counts):
+    """The library with each candidate's fit counting its calls by name."""
+    def counting(cand):
+        def fit(u, v):
+            counts[cand.name] = counts.get(cand.name, 0) + 1
+            return cand.fit(u, v)
+        return replace(cand, fit=fit)
+    return tuple(counting(cand) for cand in library)
+
+
+_NONE = kan_module._Candidate("none", 1, lambda u, v: None, lambda child, p: const(0.0))
+_NAN = kan_module._Candidate("nan", 1, lambda u, v: ((0.5,), np.full_like(v, np.nan)),
+                             lambda child, p: const(p[0]))
+_CUSTOM_NAN_LAST = (_NONE, kan_module._CONSTANT, kan_module._LINEAR, _NAN, kan_module._RECIP)
+_CUSTOM_NAN_FIRST = (_NAN, _NONE, kan_module._CONSTANT, kan_module._LINEAR)
+
+
+@pytest.mark.parametrize("layout, library, penalty", [
+    ((1, 2, 1), SIMPLE_LIBRARY, 0.01),
+    ((3, 3, 1), SIMPLE_LIBRARY, 0.01),
+    ((4, 2, 1), SIMPLE_LIBRARY, 0.01),
+    ((1, 2, 1), COMPLEX_LIBRARY, 0.01),
+    ((3, 3, 1), COMPLEX_LIBRARY, 0.01),
+    ((4, 2, 1), COMPLEX_LIBRARY, 0.01),
+    ((3, 3, 1), COMPLEX_LIBRARY, 0.0),
+    ((3, 3, 1), _CUSTOM_NAN_LAST, 0.01),
+    ((3, 3, 1), _CUSTOM_NAN_FIRST, 0.01),
+])
+def test_snap_skip_equals_fitting_every_candidate(small_xy, layout, library, penalty):
+    x, y = small_xy[0][:, : layout[0]], small_xy[1]
+    net, _ = kan_train(kan_init(layout, seed=len(layout) + layout[0]), x, y, steps=150)
+    counts = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expr, report = kan_snap(net, x, library=_counted(library, counts),
+                                param_penalty=penalty)
+    want_expr, want_edges = _reference_snap(net, x, library, penalty)
+    # repr, not ==, so that a NaN r2 compares equal to itself
+    assert repr(report.edges) == repr(want_edges)
+    assert to_text(expr) == to_text(want_expr)
+    if library is _CUSTOM_NAN_FIRST:  # a NaN leader never passes the bound
+        assert sum(counts.values()) == len(want_edges) * len(library)
+
+
+def test_snap_skips_candidates_that_cannot_win():
+    # every edge of a zeroed network is constant, which the constant
+    # candidate fits with r2 = 1, so with no penalty nothing else is fitted
+    k = GRID + 3
+    net = KanNetwork((2, 2, 1), GRID, (np.zeros((2, 2, k)), np.zeros((1, 2, k))),
+                     (np.zeros((2, 2)), np.zeros((1, 2))))
+    x = np.linspace(0.0, 1.0, 50)[:, np.newaxis].repeat(2, axis=1)
+    counts = {}
+    expr, report = kan_snap(net, x, library=_counted(COMPLEX_LIBRARY, counts), param_penalty=0.0)
+    want_expr, want_edges = _reference_snap(net, x, COMPLEX_LIBRARY, 0.0)
+    assert report.edges == want_edges
+    assert to_text(expr) == to_text(want_expr)
+    assert counts == {"constant": len(report.edges)}
+
+
+def _old_guard_tan(arg):
+    """The tan guard before it read the tan values: the oracle for _guard_tan."""
+    finite = np.min(np.abs(np.cos(arg)), axis=-1) >= 1e-2
+    span = np.abs(arg[..., -1] - arg[..., 0]) if arg.shape[-1] > 1 else np.zeros(arg.shape[:-1])
+    return finite & (span < np.pi)
+
+
+def _assert_tan_guard_matches(arg):
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = kan_module._guard_tan(arg, np.tan(arg))
+        want = _old_guard_tan(arg)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_guard_tan_matches_cos_guard_on_sweep_grids():
+    rng = np.random.default_rng(11)
+    u = np.linspace(0.0, 1.0, 256)
+    for lo, hi in ((-10.0, 10.0), (-0.5, 0.5), (1.4, 1.8), (-50.0, 50.0)):
+        a = np.linspace(lo, hi, 25)
+        b = np.linspace(lo, hi, 25)
+        _assert_tan_guard_matches(a[:, np.newaxis, np.newaxis] * u + b[np.newaxis, :, np.newaxis])
+    for scale in (0.1, 1.0, 10.0, 1e3):
+        _assert_tan_guard_matches(rng.normal(0.0, scale, size=(30, 40, 7)))
+        _assert_tan_guard_matches(np.sort(rng.normal(0.0, scale, size=(30, 40, 7)), axis=-1))
+
+
+def test_guard_tan_matches_cos_guard_at_the_bound_and_poles():
+    # |cos| within 1e-6 of 1e-2 on either side, and points next to the poles
+    delta = np.linspace(-1e-6, 1e-6, 41)
+    base = np.concatenate([np.arccos(1e-2 + delta), np.arccos(-1e-2 - delta)])
+    k = np.arange(-6, 7)[:, np.newaxis] * np.pi
+    near_bound = (base[np.newaxis, :] + k).ravel()
+    near_bound = np.concatenate([near_bound, -near_bound, np.nextafter(near_bound, np.inf),
+                                 np.nextafter(near_bound, -np.inf)])
+    poles = (np.pi / 2 + np.arange(-6, 7) * np.pi)[:, np.newaxis]
+    offsets = np.array([0.0, 1e-15, 1e-9, 1e-4, 9.9e-3, 1e-2, 1.01e-2, 0.1])
+    near_pole = np.concatenate([poles + offsets, poles - offsets], axis=1).ravel()
+    rng = np.random.default_rng(5)
+    for centres in (near_bound, near_pole):
+        # each row is a short monotone run ending on (or starting at) an adversarial value
+        steps = np.array([0.0, 1e-7, 1e-3, 0.05, 0.5])
+        for run in (centres[:, np.newaxis] - steps, centres[:, np.newaxis] + steps[::-1]):
+            _assert_tan_guard_matches(run[:, np.newaxis, :])
+            _assert_tan_guard_matches(centres[:, np.newaxis, np.newaxis])
+        mixed = rng.choice(centres, size=(200, 3, 6))
+        _assert_tan_guard_matches(mixed)
+
+
+def test_guard_tan_matches_cos_guard_on_non_finite_rows():
+    rows = np.array([
+        [0.1, 0.2, 0.3],
+        [np.nan, 0.2, 0.3],
+        [0.1, np.nan, 0.3],
+        [0.1, 0.2, np.inf],
+        [-np.inf, 0.2, 0.3],
+        [np.inf, np.inf, np.inf],
+        [1.2, 1.3, 1.56],
+        [1.2, 1.3, 1.5608],
+    ])
+    _assert_tan_guard_matches(rows[:, np.newaxis, :])
+    _assert_tan_guard_matches(rows[:, np.newaxis, :1])
+    _assert_tan_guard_matches(rows[:, :, np.newaxis])
 
 
 # --- incremental experiment --------------------------------------------------
