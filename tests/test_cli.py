@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rwtkit
-from rwtkit.cli import ConfigError, RunConfig, load_run_config, main
+from rwtkit.cli import MODEL_NAMES, ConfigError, RunConfig, load_run_config, main
 
 # --- configuration loading ---------------------------------------------------
 
@@ -406,7 +406,8 @@ def _run_pipeline(out: Path) -> None:
         )
         == 0
     )
-    assert main(["train", "--model", "cart", "--preset", "quick"] + base) == 0
+    for model in MODEL_NAMES:
+        assert main(["train", "--model", model, "--preset", "quick"] + base) == 0
     assert main(["evaluate"] + base) == 0
     assert (
         main(
@@ -443,40 +444,67 @@ def pipeline_dir(tmp_path_factory):
     return out
 
 
-EXPECTED_ARTIFACTS = [
-    "profiles.jsonl",
-    "scaler.json",
-    "split.json",
-    "ingest_notes.json",
-    "ingest.manifest.json",
-    "model_cart.json",
-    "train_cart.json",
-    "train_cart.manifest.json",
-    "metrics.json",
-    "per_reservoir.csv",
-    "scatter.csv",
-    "qq.csv",
-    "evaluate.manifest.json",
-    "shap_summary.csv",
-    "shap_heatmap.csv",
-    "shap_global.json",
-    "explain.manifest.json",
-    "kan_records.jsonl",
-    "r2_curve.csv",
-    "kan_run.manifest.json",
-    "report.md",
-    "report.manifest.json",
-]
+#: SHA-256 of every file the quick-preset pipeline above writes (x86-64 Linux,
+#: numpy 2.4).  Manifests are hashed without their ``versions`` record, which
+#: names the installed libraries.  Any refactor that moves one byte of one
+#: artifact shows up here.
+PIPELINE_SHA256 = {
+    "evaluate.manifest.json": "970cbd98e93a687661bb8700b7f1e067a2bd050063973cc29e30ec65ab8d2283",
+    "explain.manifest.json": "907b9ed3f7ebb25bd2799031797dc9bb54818baffd893c33441b59455d343758",
+    "ingest.manifest.json": "2a83340c7baf9dbdcc4af61c9b583645ab6b74d1fa61c985a1410fae47f06ea9",
+    "ingest_notes.json": "ed1549888ecb8d2aa742079009becf8cb923ac5914a3b5211ce9d3aa7cb104d6",
+    "kan_records.jsonl": "25faf94e2ffba5348e523bbda26366f3083f9465fdcf781c0c2003f249c68940",
+    "kan_run.manifest.json": "032ffeb0fabb11c1309d74903d14bd546d0207811d22ec3552b55e138a08a21e",
+    "metrics.json": "623053ab2475797f35b3ff07cb488c41e75efeecfa98f0ed930037cec665487c",
+    "model_cart.json": "6393ed62dcc9e230d75fa228416b5391b3c2cd49fe03272c3839fdc1182a41d7",
+    "model_gbm.json": "6901966e5292ee373cba44ab893f880248f1e4bf05b28a258a9f4060452e015b",
+    "model_kan.json": "65cb34c37be93f27dbb96c0ffbeb4374f8c8633686fe8b8bf7db580151178fd8",
+    "model_mlp.json": "8826d97195dce993072dd1c9c6d35057cfa5dc582051a4a0cdf369577725dd4f",
+    "model_rf.json": "f6d246a9026817eaab38156e09713a1a0df3455a34d74701c5556622b97e8af4",
+    "per_reservoir.csv": "363213c512b93c844a48ec8506d2e795333923c649d925956c096fc9646ea745",
+    "profiles.jsonl": "e2adb13948adfb42fc2442e512009829ffcf2851295da92c74fe6737bb232d19",
+    "qq.csv": "f4872c13f7d878ac2b99d62077f6682b9396b0474576c3c2c405f0e8057f9791",
+    "r2_curve.csv": "6fe8893a35799eba6bb8408464db1a35b7ee7b42a2fd18ca35e17147a05e9629",
+    "report.manifest.json": "4e98aae87c456e8fe4c4ab2fd34e7e9ec10e47c90a937321849547d90751243b",
+    "report.md": "8bf028c6a47e6ffd79b78ef24ac78a3fbd7f522f9bf36480539e6937d567cec6",
+    "scaler.json": "29cd1b7678782d03c21b68328d102bd8c2ff18f11a6baf2d3834e625674f79e6",
+    "scatter.csv": "ac16b31f659f5f63805af26eb920d95c9112e6b84d3c780633b6d55d5a098cb1",
+    "shap_global.json": "f1a2b089569c00d3e11e2f2e2fa5ef8774cecb111d1ddd9203cd67b6f8166fbc",
+    "shap_heatmap.csv": "6ec7a55561276dd8085b478170b6aa81644ce76e0c1478b54424a8b7f702a595",
+    "shap_summary.csv": "2ee2785b96f49a01126cb3b17cb1f38cddc1102129f63b4c1a3e27aa8c074b7c",
+    "split.json": "7fc176d5ff6abe56573a94027dbb6f3343645c9c32303280cfd399331d64c309",
+    "train_cart.json": "b0d0be6009052614db48b9ee9414077da026357356e75189bebbf1fb09dadc7d",
+    "train_cart.manifest.json": "4f6933da199078ea15604d6b6617e58be76dede417ed95d8db0755bb7d494e35",
+    "train_gbm.json": "203c6d6e94287006d732a87e6c32637d7c9d5488b07742ff7bbee8581c9769a9",
+    "train_gbm.manifest.json": "689cbf236838c2975c9a3153904029fd36302afb9c0e035a408976d71437293b",
+    "train_kan.json": "ec69276eb5db844bef66bb48cc3a75a2af0763aee7fcd5c3acf5453540179b59",
+    "train_kan.manifest.json": "62e291814b0646400ed9df459e0ec855d96a981ec7cf351ba65dae2f825067b9",
+    "train_mlp.json": "565a86d617fa53fb5ef602bfd15828245101de83f1b0d80de9a3424d71fbb8a6",
+    "train_mlp.manifest.json": "d41efb2d0fd58f3f52d8130f545590a0ab73b122283de0ca22fc17c3072618dc",
+    "train_rf.json": "ea761e4301f21413778e89570761edc267f7492ad7152f292283143d5b182483",
+    "train_rf.manifest.json": "affa22b676d17f678ab8f82da216d2c1041943ec19f742802d12894c2a205765",
+}
+
+
+def _pinned_bytes(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.name.endswith(".manifest.json"):
+        record = json.loads(data)
+        assert json.dumps(record, sort_keys=True, indent=1) + "\n" == data.decode(), path.name
+        del record["versions"]
+        data = (json.dumps(record, sort_keys=True, indent=1) + "\n").encode()
+    return data
 
 
 def test_pipeline_artifacts_exist(pipeline_dir):
-    for name in EXPECTED_ARTIFACTS:
-        assert (pipeline_dir / name).is_file(), name
+    assert sorted(p.name for p in pipeline_dir.iterdir()) == sorted(PIPELINE_SHA256)
+    for name, want in PIPELINE_SHA256.items():
+        assert hashlib.sha256(_pinned_bytes(pipeline_dir / name)).hexdigest() == want, name
 
 
 def test_metrics_artifact_is_well_formed(pipeline_dir):
     summary = json.loads((pipeline_dir / "metrics.json").read_text())
-    assert list(summary) == ["cart"]
+    assert list(summary) == sorted(MODEL_NAMES)
     scores = summary["cart"]
     assert float(scores["rmse_c"]) >= float(scores["mae_c"])
     assert scores["n_test"] > 0
