@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import datetime
 import hashlib
 import json
+import math
 import platform
 import sys
 from dataclasses import dataclass
@@ -109,10 +111,14 @@ class RunConfig:
             raise ConfigError(f"kan_regime must be simple|complex, got {self.kan_regime!r}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
-        for name in ("synth_profiles", "synth_samples", "synth_reservoirs",
+        for name in ("synth_profiles", "synth_reservoirs",
                      "shap_instances", "shap_background", "kan_steps", "kan_grid"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.synth_samples < 4:
+            raise ConfigError("synth_samples must be >= 4, the fewest that form a profile")
+        if not 0.0 <= self.synth_noise < math.inf:
+            raise ConfigError(f"synth_noise must be finite and >= 0, got {self.synth_noise}")
         self.kan_seed_list()
         self.kan_ordering_list()
 
@@ -201,13 +207,13 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
 # --- deterministic artifact writing -----------------------------------------
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def _joined(lines: list[str]) -> str:
+    """Lines of a text artifact (CSV, JSON lines or markdown) as one text."""
+    return "\n".join(lines) + "\n"
 
 
 def _jsonl_line(obj) -> str:
@@ -231,22 +237,33 @@ def _config_sha256(cfg: RunConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _manifest(cfg: RunConfig, command: str, seed: int, artifacts: list[str]) -> str:
-    return _json_dumps(
-        {
-            "command": command,
-            "config": _manifest_config(cfg),
-            "config_sha256": _config_sha256(cfg),
-            "seed": seed,
-            "artifacts": sorted(artifacts),
-            "versions": {
-                "rwtkit": __version__,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "python": platform.python_version(),
-            },
-        }
-    )
+def _emit(cfg: RunConfig, command: str, seed: int, artifacts: dict[str, str | None]) -> None:
+    """Write each artifact into the run directory, then the command's manifest.
+
+    A ``None`` text names a file the command has already written itself.
+    The manifest is ``<command>.manifest.json`` with ``-`` spelled ``_``,
+    except that each model kind has its own ``train_<model>.manifest.json``.
+    """
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        if text is not None:
+            (out_dir / name).write_text(text)
+    stem = f"train_{cfg.model}" if command == "train" else command.replace("-", "_")
+    manifest = {
+        "command": command,
+        "config": _manifest_config(cfg),
+        "config_sha256": _config_sha256(cfg),
+        "seed": seed,
+        "artifacts": sorted(artifacts),
+        "versions": {
+            "rwtkit": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        },
+    }
+    (out_dir / f"{stem}.manifest.json").write_text(_json_dumps(manifest))
 
 
 def _disp(value) -> str:
@@ -272,60 +289,55 @@ def _profiles_jsonl(profile_set: ProfileSet) -> str:
                 }
             )
         )
-    return "\n".join(lines) + "\n"
+    return _joined(lines)
 
 
-def _read_profiles(out_dir: Path) -> ProfileSet:
-    import datetime
+def _read_ingested(out_dir: Path, name: str, parse):
+    """``parse`` applied to the text of one ingest artifact.
 
-    path = out_dir / "profiles.jsonl"
+    A missing file is :class:`NotFound`; one that fails to decode is
+    :class:`SchemaMismatch`.
+    """
+    path = out_dir / name
     if not path.exists():
         raise NotFound(f"{path} missing; run ingest first")
-    profiles = []
     with reading(path):
-        for line in path.read_text().splitlines():
-            rec = json.loads(line)
-            profiles.append(
-                ObservationProfile(
-                    reservoir_id=rec["reservoir"],
-                    date=datetime.date.fromisoformat(rec["date"]),
-                    site_id=rec["site"],
-                    samples=tuple((float(d), float(t)) for d, t in rec["samples"]),
-                    covariates={Feature[k]: float(v) for k, v in rec["covariates"].items()},
-                )
+        return parse(path.read_text())
+
+
+def _parse_profiles(text: str) -> ProfileSet:
+    profiles = []
+    for line in text.splitlines():
+        rec = json.loads(line)
+        profiles.append(
+            ObservationProfile(
+                reservoir_id=rec["reservoir"],
+                date=datetime.date.fromisoformat(rec["date"]),
+                site_id=rec["site"],
+                samples=tuple((float(d), float(t)) for d, t in rec["samples"]),
+                covariates={Feature[k]: float(v) for k, v in rec["covariates"].items()},
             )
+        )
     if not profiles:
-        raise SchemaMismatch(f"{path}: no profiles")
+        raise ValueError("no profiles")
     return ProfileSet(tuple(profiles))
 
 
-def _read_scaler(out_dir: Path) -> Scaler:
-    path = out_dir / "scaler.json"
-    if not path.exists():
-        raise NotFound(f"{path} missing; run ingest first")
-    with reading(path):
-        return scaler_from_state(json.loads(path.read_text()))
-
-
-def _read_split(out_dir: Path) -> SplitPlan:
-    path = out_dir / "split.json"
-    if not path.exists():
-        raise NotFound(f"{path} missing; run ingest first")
-    with reading(path):
-        rec = json.loads(path.read_text())
-        return SplitPlan(
-            train=tuple((r, d, s) for r, d, s in rec["train"]),
-            test=tuple((r, d, s) for r, d, s in rec["test"]),
-            ratio=float(rec["ratio"]),
-            seed=int(rec["seed"]),
-        )
+def _parse_split(text: str) -> SplitPlan:
+    rec = json.loads(text)
+    return SplitPlan(
+        train=tuple((r, d, s) for r, d, s in rec["train"]),
+        test=tuple((r, d, s) for r, d, s in rec["test"]),
+        ratio=float(rec["ratio"]),
+        seed=int(rec["seed"]),
+    )
 
 
 def _normalized_split(out_dir: Path):
     """(train x/y, test x/y, scaler, test matrix) in normalized space."""
-    profile_set = _read_profiles(out_dir)
-    scaler = _read_scaler(out_dir)
-    plan = _read_split(out_dir)
+    profile_set = _read_ingested(out_dir, "profiles.jsonl", _parse_profiles)
+    scaler = _read_ingested(out_dir, "scaler.json", lambda t: scaler_from_state(json.loads(t)))
+    plan = _read_ingested(out_dir, "split.json", _parse_split)
     dm = design_matrix(profile_set)
     train = dm.subset(plan.train)
     test = dm.subset(plan.test)
@@ -337,8 +349,7 @@ def _normalized_split(out_dir: Path):
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
+def cmd_ingest(cfg: RunConfig) -> None:
     if cfg.synthetic:
         synth = synth_generate(
             n_profiles=cfg.synth_profiles,
@@ -375,104 +386,82 @@ def cmd_ingest(cfg: RunConfig) -> int:
                 {"key": list(key), "reason": reason} for key, reason in result.rejected
             ],
         }
-    _write_text(out_dir / "profiles.jsonl", _profiles_jsonl(profile_set))
-    _write_text(out_dir / "scaler.json", _json_dumps(scaler_to_state(scaler)))
-    _write_text(
-        out_dir / "split.json",
-        _json_dumps(
-            {
-                "ratio": cfg.split_ratio,
-                "seed": cfg.split_seed,
-                "train": [list(k) for k in plan.train],
-                "test": [list(k) for k in plan.test],
-            }
-        ),
-    )
-    _write_text(out_dir / "ingest_notes.json", _json_dumps(source_note))
-    _write_text(
-        out_dir / "ingest.manifest.json",
-        _manifest(
-            cfg,
-            "ingest",
-            cfg.synth_seed if cfg.synthetic else cfg.split_seed,
-            ["profiles.jsonl", "scaler.json", "split.json", "ingest_notes.json"],
-        ),
-    )
+    split = {
+        "ratio": cfg.split_ratio,
+        "seed": cfg.split_seed,
+        "train": [list(k) for k in plan.train],
+        "test": [list(k) for k in plan.test],
+    }
+    _emit(cfg, "ingest", cfg.synth_seed if cfg.synthetic else cfg.split_seed, {
+        "profiles.jsonl": _profiles_jsonl(profile_set),
+        "scaler.json": _json_dumps(scaler_to_state(scaler)),
+        "split.json": _json_dumps(split),
+        "ingest_notes.json": _json_dumps(source_note),
+    })
     print(f"ingest: {len(profile_set)} profiles, {len(plan.train)} train / {len(plan.test)} test")
-    return 0
+
+
+#: Each model kind's settings at each preset, recorded as the ``params`` of
+#: ``train_<model>.json``.  The network settings a kan preset leaves out come
+#: from the run config.
+_PRESET_PARAMS = {
+    "cart": {"published": {"max_depth": 30}, "quick": {"max_depth": 6}},
+    "rf": {
+        "published": {"n_estimators": 100, "max_features": 4, "max_depth": 30},
+        "quick": {"n_estimators": 20, "max_features": 4, "max_depth": 10},
+    },
+    "gbm": {
+        "published": {"n_estimators": 600, "learning_rate": 0.01, "max_depth": 9, "gamma": 0.3},
+        "quick": {"n_estimators": 60, "learning_rate": 0.1, "max_depth": 3, "gamma": 0.0},
+    },
+    "mlp": {
+        "published": {"layout": [len(Feature), 48, 48, 1], "epochs": 1000, "batch_size": 32,
+                      "learning_rate": 0.01},
+        "quick": {"layout": [len(Feature), 16, 1], "epochs": 100, "batch_size": 32,
+                  "learning_rate": 0.01},
+    },
+    "kan": {"published": {}, "quick": {"steps": 300}},
+}
 
 
 def _fit_model(cfg: RunConfig, xtr: np.ndarray, ytr: np.ndarray):
-    """Model plus a JSON-able training record (loss traces and config)."""
+    """Model plus a JSON-able training record (loss traces and config).
+
+    The fitters are looked up by their names in this module at call time,
+    and the epoch and step counts passed by keyword, so a profiler can wrap
+    them.
+    """
     seed = cfg.model_seed
-    quick = cfg.preset == "quick"
+    params = dict(_PRESET_PARAMS[cfg.model][cfg.preset])
+    if cfg.model == "kan":
+        params = {"layout": list(regime_layout(cfg.kan_regime, len(Feature))),
+                  "grid_size": cfg.kan_grid, "steps": cfg.kan_steps,
+                  "learning_rate": cfg.kan_lr, "lam": cfg.kan_lam, **params}
+    record = {"params": params}
     if cfg.model == "cart":
-        params = TreeParams(max_depth=6 if quick else 30, min_samples_leaf=1)
-        model = tree_fit(xtr, ytr, params)
-        record = {"params": {"max_depth": params.max_depth}}
+        model = tree_fit(xtr, ytr, TreeParams(**params))
     elif cfg.model == "rf":
-        params = ForestParams(
-            n_estimators=20 if quick else 100,
-            max_features=4,
-            max_depth=10 if quick else 30,
-            seed=seed,
-        )
-        model = rf_fit(xtr, ytr, params)
-        record = {
-            "params": {
-                "n_estimators": params.n_estimators,
-                "max_features": params.max_features,
-                "max_depth": params.max_depth,
-            }
-        }
+        model = rf_fit(xtr, ytr, ForestParams(**params, seed=seed))
     elif cfg.model == "gbm":
-        params = (
-            BoostParams(n_estimators=60, learning_rate=0.1, max_depth=3, gamma=0.0, seed=seed)
-            if quick
-            else BoostParams(seed=seed)
-        )
-        model = gbm_fit(xtr, ytr, params)
-        record = {
-            "params": {
-                "n_estimators": params.n_estimators,
-                "learning_rate": params.learning_rate,
-                "max_depth": params.max_depth,
-                "gamma": params.gamma,
-            },
-            "train_mse": [repr(v) for v in model.train_mse],
-        }
+        model = gbm_fit(xtr, ytr, BoostParams(**params, seed=seed))
+        record["train_mse"] = [repr(v) for v in model.train_mse]
     elif cfg.model == "mlp":
-        layout = (len(Feature), 16, 1) if quick else (len(Feature), 48, 48, 1)
-        epochs = 100 if quick else 1000
         model, trace = mlp_train(
-            mlp_init(layout, seed=seed),
-            xtr,
-            ytr,
-            epochs=epochs,
-            batch_size=32,
-            learning_rate=0.01,
-            seed=seed,
+            mlp_init(tuple(params["layout"]), seed=seed), xtr, ytr, epochs=params["epochs"],
+            batch_size=params["batch_size"], learning_rate=params["learning_rate"], seed=seed,
         )
-        record = {
-            "params": {"layout": list(layout), "epochs": epochs, "batch_size": 32,
-                       "learning_rate": 0.01, "dropout_rate": model.dropout_rate},
-            "loss_trace": [repr(v) for v in trace],
-        }
+        params["dropout_rate"] = model.dropout_rate
     else:
-        steps = 300 if quick else cfg.kan_steps
-        net = kan_init(regime_layout(cfg.kan_regime, len(Feature)), grid_size=cfg.kan_grid, seed=seed)
         model, trace = kan_train(
-            net, xtr, ytr, steps=steps, learning_rate=cfg.kan_lr, lam=cfg.kan_lam
+            kan_init(tuple(params["layout"]), grid_size=params["grid_size"], seed=seed), xtr, ytr,
+            steps=params["steps"], learning_rate=params["learning_rate"], lam=params["lam"],
         )
-        record = {
-            "params": {"layout": list(model.layout), "grid_size": cfg.kan_grid,
-                       "steps": steps, "learning_rate": cfg.kan_lr, "lam": cfg.kan_lam},
-            "loss_trace": [repr(v) for v in trace],
-        }
+    if cfg.model in ("mlp", "kan"):
+        record["loss_trace"] = [repr(v) for v in trace]
     return model, record
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig) -> None:
     out_dir = Path(cfg.out)
     xtr, ytr, _, _, scaler, _ = _normalized_split(out_dir)
     model, record = _fit_model(cfg, xtr, ytr)
@@ -492,13 +481,9 @@ def cmd_train(cfg: RunConfig) -> int:
     )
     model_file = f"model_{cfg.model}.json"
     save_model(model, out_dir / model_file)
-    _write_text(out_dir / f"train_{cfg.model}.json", _json_dumps(record))
-    _write_text(
-        out_dir / f"train_{cfg.model}.manifest.json",
-        _manifest(cfg, "train", cfg.model_seed, [model_file, f"train_{cfg.model}.json"]),
-    )
+    _emit(cfg, "train", cfg.model_seed,
+          {model_file: None, f"train_{cfg.model}.json": _json_dumps(record)})
     print(f"train: {cfg.model} ({cfg.preset}) rmse {_disp(scores.rmse)} degC on train")
-    return 0
 
 
 def _discover_models(out_dir: Path) -> dict[str, object]:
@@ -512,7 +497,7 @@ def _discover_models(out_dir: Path) -> dict[str, object]:
     return models
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: RunConfig) -> None:
     out_dir = Path(cfg.out)
     _, _, xte, yte, scaler, test = _normalized_split(out_dir)
     models = _discover_models(out_dir)
@@ -528,53 +513,43 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             "r2": None if scores.r2 is None else repr(scores.r2),
             "n_test": int(len(true_c)),
         }
-    _write_text(out_dir / "metrics.json", _json_dumps(summary))
-
     reservoirs = [key[0] for key in test.keys]
-    rows = per_group_metrics(reservoirs, true_c, preds_c)
-    lines = ["reservoir,model,rmse_c,mae_c,r2,best_r2,best_rmse"]
-    for row in rows:
+    per_reservoir = ["reservoir,model,rmse_c,mae_c,r2,best_r2,best_rmse"]
+    for row in per_group_metrics(reservoirs, true_c, preds_c):
         r2_text = "NA" if row.scores.r2 is None else repr(row.scores.r2)
-        lines.append(
+        per_reservoir.append(
             f"{row.group},{row.model},{row.scores.rmse!r},{row.scores.mae!r},"
             f"{r2_text},{int(row.best_r2)},{int(row.best_rmse)}"
         )
-    _write_text(out_dir / "per_reservoir.csv", "\n".join(lines) + "\n")
 
     primary = cfg.model if cfg.model in preds_c else sorted(preds_c)[0]
     pred_primary = preds_c[primary]
-    lines = ["reservoir,date,site,depth_m,observed_c,predicted_c,bound_lo_c,bound_hi_c"]
+    scatter = ["reservoir,date,site,depth_m,observed_c,predicted_c,bound_lo_c,bound_hi_c"]
     for key, obs, pred, row in zip(test.keys, true_c, pred_primary, test.x_raw):
         depth = row[Feature.depth_measure.column]
-        lines.append(
+        scatter.append(
             f"{key[0]},{key[1]},{key[2]},{depth!r},{obs!r},{pred!r},"
             f"{0.9 * obs!r},{1.1 * obs!r}"
         )
-    _write_text(out_dir / "scatter.csv", "\n".join(lines) + "\n")
 
-    lines = ["probability,observed_c,predicted_c"]
+    qq = ["probability,observed_c,predicted_c"]
     for point in quantile_compare(true_c, pred_primary, n_quantiles=101):
-        lines.append(f"{point.probability!r},{point.q_observed!r},{point.q_predicted!r}")
-    _write_text(out_dir / "qq.csv", "\n".join(lines) + "\n")
+        qq.append(f"{point.probability!r},{point.q_observed!r},{point.q_predicted!r}")
 
-    _write_text(
-        out_dir / "evaluate.manifest.json",
-        _manifest(
-            cfg,
-            "evaluate",
-            cfg.split_seed,
-            ["metrics.json", "per_reservoir.csv", "scatter.csv", "qq.csv"],
-        ),
-    )
+    _emit(cfg, "evaluate", cfg.split_seed, {
+        "metrics.json": _json_dumps(summary),
+        "per_reservoir.csv": _joined(per_reservoir),
+        "scatter.csv": _joined(scatter),
+        "qq.csv": _joined(qq),
+    })
     for name in sorted(summary):
         print(
             f"evaluate: {name} rmse {_disp(float(summary[name]['rmse_c']))} degC, "
             f"r2 {_disp(None if summary[name]['r2'] is None else float(summary[name]['r2']))}"
         )
-    return 0
 
 
-def cmd_explain(cfg: RunConfig) -> int:
+def cmd_explain(cfg: RunConfig) -> None:
     out_dir = Path(cfg.out)
     xtr, _, xte, _, _, _ = _normalized_split(out_dir)
     model_path = out_dir / f"model_{cfg.model}.json"
@@ -584,44 +559,28 @@ def cmd_explain(cfg: RunConfig) -> int:
     background = BackgroundSet(xtr).subsample(cfg.shap_background, seed=cfg.model_seed)
     instances = xte[: cfg.shap_instances]
     explanations = shap_batch(model, instances, background)
-    _write_text(out_dir / "shap_summary.csv", export_summary(explanations))
-    _write_text(out_dir / "shap_heatmap.csv", export_heatmap(explanations))
     g = shap_global(explanations)
-    _write_text(
-        out_dir / "shap_global.json",
-        _json_dumps(
-            {
-                "model": cfg.model,
-                "n_instances": len(explanations),
-                "background_rows": len(background),
-                "importance": {
-                    Feature(col + 1).name: {
-                        "rank": rank,
-                        "mean_abs_shap": repr(g.importance[col]),
-                        "percentage": None if g.percentages is None else repr(g.percentages[col]),
-                    }
-                    for rank, col in enumerate(g.ranking, start=1)
-                },
-            }
-        ),
-    )
-    _write_text(
-        out_dir / "explain.manifest.json",
-        _manifest(
-            cfg,
-            "explain",
-            cfg.model_seed,
-            ["shap_summary.csv", "shap_heatmap.csv", "shap_global.json"],
-        ),
-    )
+    importance = {
+        Feature(col + 1).name: {
+            "rank": rank,
+            "mean_abs_shap": repr(g.importance[col]),
+            "percentage": None if g.percentages is None else repr(g.percentages[col]),
+        }
+        for rank, col in enumerate(g.ranking, start=1)
+    }
+    _emit(cfg, "explain", cfg.model_seed, {
+        "shap_summary.csv": export_summary(explanations),
+        "shap_heatmap.csv": export_heatmap(explanations),
+        "shap_global.json": _json_dumps({"model": cfg.model, "n_instances": len(explanations),
+                                         "background_rows": len(background),
+                                         "importance": importance}),
+    })
     top = Feature(g.ranking[0] + 1).name
     print(f"explain: {len(explanations)} instances of {cfg.model}, top feature {top}")
-    return 0
 
 
-def cmd_kan_run(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
-    xtr, ytr, xte, yte, _, _ = _normalized_split(out_dir)
+def cmd_kan_run(cfg: RunConfig) -> None:
+    xtr, ytr, xte, yte, _, _ = _normalized_split(Path(cfg.out))
     ordering = cfg.kan_ordering_list()
     records = incremental_experiment(
         xtr,
@@ -654,45 +613,37 @@ def cmd_kan_run(cfg: RunConfig) -> int:
                 }
             )
         )
-    _write_text(out_dir / "kan_records.jsonl", "\n".join(lines) + "\n")
-
     by_k: dict[int, list[float]] = {}
     for r in records:
         if r.r2_test is not None:
             by_k.setdefault(r.n_inputs, []).append(r.r2_test)
-    lines = ["n_inputs,mean_r2_test,n_seeds"]
+    curve = ["n_inputs,mean_r2_test,n_seeds"]
     for k in sorted(by_k):
-        lines.append(f"{k},{float(np.mean(by_k[k]))!r},{len(by_k[k])}")
-    _write_text(out_dir / "r2_curve.csv", "\n".join(lines) + "\n")
-    _write_text(
-        out_dir / "kan_run.manifest.json",
-        _manifest(cfg, "kan-run", cfg.model_seed, ["kan_records.jsonl", "r2_curve.csv"]),
-    )
+        curve.append(f"{k},{float(np.mean(by_k[k]))!r},{len(by_k[k])}")
+    _emit(cfg, "kan-run", cfg.model_seed,
+          {"kan_records.jsonl": _joined(lines), "r2_curve.csv": _joined(curve)})
     last = max(by_k)
     print(f"kan-run: {len(records)} runs, mean test r2 at {last} inputs "
           f"{_disp(float(np.mean(by_k[last])))}")
-    return 0
 
 
-def cmd_eq(args) -> int:
+def cmd_eq(args) -> None:
     bank = load_bank()
     if args.eq_command == "list":
         print("set,n_inputs,r2")
         for entry in bank.entries:
             print(f"{entry.set_name},{entry.n_inputs},{entry.r2_text}")
-        return 0
+        return
     entry = bank.get(args.set, args.inputs)
     if args.eq_command == "show":
         print(entry.expression_text)
-        return 0
+        return
     values = {}
     for i in range(1, len(Feature) + 1):
         supplied = getattr(args, f"x{i}")
         if supplied is not None:
             values[i] = supplied
-    result = entry.evaluate(values)
-    print(_disp(result))
-    return 0
+    print(_disp(entry.evaluate(values)))
 
 
 def _published_reference_lines(bank) -> list[str]:
@@ -708,7 +659,7 @@ def _published_reference_lines(bank) -> list[str]:
     return lines
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: RunConfig) -> None:
     out_dir = Path(cfg.out)
     bank = load_bank()
     lines = ["# Run report", ""]
@@ -719,8 +670,8 @@ def cmd_report(cfg: RunConfig) -> int:
     if notes_path.exists():
         with reading(notes_path):
             notes = json.loads(notes_path.read_text())
-            profile_set = _read_profiles(out_dir)
-            plan = _read_split(out_dir)
+            profile_set = _read_ingested(out_dir, "profiles.jsonl", _parse_profiles)
+            plan = _read_ingested(out_dir, "split.json", _parse_split)
             lines.append("## Dataset")
             lines.append("")
             lines.append(f"- source: {notes['source']}")
@@ -783,56 +734,37 @@ def cmd_report(cfg: RunConfig) -> int:
     lines.append("")
     lines.extend(_published_reference_lines(bank))
     lines.append("")
-    _write_text(out_dir / "report.md", "\n".join(lines) + "\n")
-    _write_text(
-        out_dir / "report.manifest.json",
-        _manifest(cfg, "report", cfg.split_seed, ["report.md"]),
-    )
+    _emit(cfg, "report", cfg.split_seed, {"report.md": _joined(lines)})
     print(f"report: wrote {out_dir / 'report.md'}")
-    return 0
 
 
 # --- argument parsing ---------------------------------------------------------
 
 
+#: Each run-directory command: its handler, the run-config keys it takes as
+#: flags (in ``--help`` order) and its one-line help.  ``eq`` works without a
+#: run directory and has its own sub-parser.
+_COMMANDS = {
+    "ingest": (cmd_ingest, ("out", "observations", "daily", "morphometry", "synthetic",
+                            "synth_profiles", "synth_samples", "synth_noise", "synth_reservoirs",
+                            "synth_seed", "scaler_mode", "split_ratio", "split_seed"),
+               "parse or generate profiles; write scaler and split"),
+    "train": (cmd_train, ("out", "model", "preset", "model_seed", "kan_regime", "kan_steps",
+                          "kan_lr", "kan_lam", "kan_grid"),
+              "fit one model on the training split"),
+    "evaluate": (cmd_evaluate, ("out", "model"), "score trained models on the test split"),
+    "explain": (cmd_explain, ("out", "model", "model_seed", "shap_instances", "shap_background"),
+                "exact per-instance attributions for one model"),
+    "kan-run": (cmd_kan_run, ("out", "kan_regime", "kan_ordering", "kan_seeds", "kan_steps",
+                              "kan_lr", "kan_lam", "kan_grid", "model_seed"),
+                "inputs-vs-accuracy experiment with snapping"),
+    "report": (cmd_report, ("out", "model"), "assemble a markdown report from run artifacts"),
+}
+
 #: Help for the flags whose name does not say all they do.
 _FLAG_HELP = {
     "shap_instances": "explain at most this many rows, the first ones of the test split",
 }
-
-
-def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
-    parser.add_argument("--config", metavar="FILE", help="key = value configuration file")
-    for key in keys:
-        kind = _FIELD_TYPES[key]
-        flag = "--" + key.replace("_", "-")
-        help_text = _FLAG_HELP.get(key)
-        if kind == "bool":
-            parser.add_argument(flag, dest=key, action="store_const", const=True, help=help_text)
-        elif kind == "int":
-            parser.add_argument(flag, dest=key, type=int, help=help_text)
-        elif kind == "float":
-            parser.add_argument(flag, dest=key, type=float, help=help_text)
-        else:
-            parser.add_argument(flag, dest=key, help=help_text)
-
-
-_COMMON_KEYS = ("out",)
-_INGEST_KEYS = _COMMON_KEYS + (
-    "observations", "daily", "morphometry", "synthetic", "synth_profiles",
-    "synth_samples", "synth_noise", "synth_reservoirs", "synth_seed",
-    "scaler_mode", "split_ratio", "split_seed",
-)
-_TRAIN_KEYS = _COMMON_KEYS + (
-    "model", "preset", "model_seed", "kan_regime", "kan_steps", "kan_lr",
-    "kan_lam", "kan_grid",
-)
-_EVAL_KEYS = _COMMON_KEYS + ("model",)
-_EXPLAIN_KEYS = _COMMON_KEYS + ("model", "model_seed", "shap_instances", "shap_background")
-_KAN_KEYS = _COMMON_KEYS + (
-    "kan_regime", "kan_ordering", "kan_seeds", "kan_steps", "kan_lr",
-    "kan_lam", "kan_grid", "model_seed",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -842,21 +774,17 @@ def build_parser() -> argparse.ArgumentParser:
         "attribution, and symbolic distillation.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("ingest", help="parse or generate profiles; write scaler and split")
-    _add_config_flags(p, _INGEST_KEYS)
-
-    p = sub.add_parser("train", help="fit one model on the training split")
-    _add_config_flags(p, _TRAIN_KEYS)
-
-    p = sub.add_parser("evaluate", help="score trained models on the test split")
-    _add_config_flags(p, _EVAL_KEYS)
-
-    p = sub.add_parser("explain", help="exact per-instance attributions for one model")
-    _add_config_flags(p, _EXPLAIN_KEYS)
-
-    p = sub.add_parser("kan-run", help="inputs-vs-accuracy experiment with snapping")
-    _add_config_flags(p, _KAN_KEYS)
+    for command, (_, keys, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", metavar="FILE", help="key = value configuration file")
+        for key in keys:
+            flag, kind = "--" + key.replace("_", "-"), _FIELD_TYPES[key]
+            help_text = _FLAG_HELP.get(key)
+            if kind == "bool":
+                p.add_argument(flag, dest=key, action="store_const", const=True, help=help_text)
+            else:
+                p.add_argument(flag, dest=key, type={"int": int, "float": float}.get(kind),
+                               help=help_text)
 
     p = sub.add_parser("eq", help="inspect or evaluate the built-in equation bank")
     eq_sub = p.add_subparsers(dest="eq_command", metavar="ACTION")
@@ -869,43 +797,22 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--inputs", required=True, type=int)
     for i in range(1, len(Feature) + 1):
         ev.add_argument(f"--x{i}", type=float)
-
-    p = sub.add_parser("report", help="assemble a markdown report from run artifacts")
-    _add_config_flags(p, _COMMON_KEYS + ("model",))
     return parser
-
-
-def _config_from_args(args, keys) -> RunConfig:
-    overrides = {key: getattr(args, key) for key in keys}
-    return load_run_config(args.config, overrides)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
+    if args.command is None or (args.command == "eq" and args.eq_command is None):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if args.command == "ingest":
-            return cmd_ingest(_config_from_args(args, _INGEST_KEYS))
-        if args.command == "train":
-            return cmd_train(_config_from_args(args, _TRAIN_KEYS))
-        if args.command == "evaluate":
-            return cmd_evaluate(_config_from_args(args, _EVAL_KEYS))
-        if args.command == "explain":
-            return cmd_explain(_config_from_args(args, _EXPLAIN_KEYS))
-        if args.command == "kan-run":
-            return cmd_kan_run(_config_from_args(args, _KAN_KEYS))
         if args.command == "eq":
-            if args.eq_command is None:
-                parser.parse_args([args.command, "--help"])
-                return 2
-            return cmd_eq(args)
-        if args.command == "report":
-            return cmd_report(_config_from_args(args, _COMMON_KEYS + ("model",)))
-        parser.print_usage(sys.stderr)
-        return 2
+            cmd_eq(args)
+        else:
+            handler, keys, _ = _COMMANDS[args.command]
+            handler(load_run_config(args.config, {key: getattr(args, key) for key in keys}))
+        return 0
     except ConfigError as exc:
         print(f"rwtkit: {exc}", file=sys.stderr)
         return 2

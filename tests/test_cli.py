@@ -92,6 +92,10 @@ def test_unknown_override_key():
         ("kan_regime", "medium"),
         ("split_ratio", 1.5),
         ("synth_profiles", 0),
+        ("synth_samples", 3),
+        ("synth_noise", -1.0),
+        ("synth_noise", float("nan")),
+        ("synth_noise", float("inf")),
         ("kan_seeds", "a,b"),
         ("kan_seeds", ","),
         ("kan_ordering", "1,1,2"),
@@ -118,8 +122,9 @@ def test_kan_seed_list():
 # --- command basics ----------------------------------------------------------
 
 
-def test_no_command_is_usage_error(capsys):
-    assert main([]) == 2
+@pytest.mark.parametrize("argv", [[], ["eq"]], ids=["bare", "eq"])
+def test_no_command_is_usage_error(capsys, argv):
+    assert main(argv) == 2
     assert "usage" in capsys.readouterr().err.lower()
 
 
@@ -159,6 +164,13 @@ def test_config_error_exit_code(capsys, tmp_path):
     rc = main(["train", "--model", "nosuch", "--out", str(tmp_path / "r")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("rwtkit:")
+
+
+def test_too_few_synthetic_samples_is_usage_error(capsys, tmp_path):
+    rc = main(["ingest", "--synthetic", "--synth-samples", "2", "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "synth_samples" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_missing_run_directory(capsys, tmp_path):
