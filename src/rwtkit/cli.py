@@ -112,11 +112,13 @@ class RunConfig:
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
         for name in ("synth_profiles", "synth_reservoirs",
-                     "shap_instances", "shap_background", "kan_steps", "kan_grid"):
+                     "shap_instances", "shap_background", "kan_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.synth_samples < 4:
             raise ConfigError("synth_samples must be >= 4, the fewest that form a profile")
+        if self.kan_grid < 4:
+            raise ConfigError("kan_grid must be >= 4, the fewest a cubic spline basis takes")
         if not 0.0 <= self.synth_noise < math.inf:
             raise ConfigError(f"synth_noise must be finite and >= 0, got {self.synth_noise}")
         self.kan_seed_list()

@@ -39,6 +39,13 @@ ignores get zero, and symmetric features get equal credit.
 Attribution is capped at 15 features; every path indexes the 2^q
 coalitions, which stop being a desk-scale table beyond that.  Instances and
 background rows must be finite.
+
+The heatmap orders its instances by average-linkage clustering of their
+attribution vectors, computed here with the nearest-neighbour chain
+(Müllner 2011, arXiv:1109.2378).  Distances, tie-breaks, the stable sort of
+the merges and the relabelling follow scipy step by step, so the order is
+the same as scipy's ``linkage``/``leaves_list`` (checked against it in
+tests) without importing ``scipy.cluster``.
 """
 
 from __future__ import annotations
@@ -430,23 +437,18 @@ def export_heatmap(explanations) -> str:
     Instances (columns) are ordered by average-linkage hierarchical
     clustering of their attribution vectors (Euclidean distance), so
     identical profiles sit adjacent; features (rows) are ordered by global
-    rank.  After the matrix an ``f(x)`` row repeats each instance's
-    prediction, and a ``global_importance`` trailer lists mean absolute
-    attribution and percentage share per feature (percentage ``NA`` when
-    undefined).
+    rank.  The clustering is the nearest-neighbour chain (Müllner 2011),
+    with the same order as scipy's ``linkage``/``leaves_list``, checked
+    against it in tests.  After the matrix an ``f(x)`` row repeats each
+    instance's prediction, and a ``global_importance`` trailer lists mean
+    absolute attribution and percentage share per feature (percentage
+    ``NA`` when undefined).
     """
-    # Imported here: scipy.cluster costs every other command about 30 MB
-    # and 0.4 s of start-up.
-    from scipy.cluster.hierarchy import leaves_list, linkage
-
     explanations = tuple(explanations)
     g = shap_global(explanations)
     q = len(explanations[0].phi)
     phi = np.stack([e.phi for e in explanations])  # (n, q)
-    if len(explanations) > 1:
-        order = list(leaves_list(linkage(phi, method="average", metric="euclidean")))
-    else:
-        order = [0]
+    order = _average_linkage_order(phi)
     labels = [_instance_label(explanations[i], i) for i in order]
     lines = ["instance," + ",".join(labels)]
     lines.append("f(x)," + ",".join(repr(explanations[i].fx) for i in order))
@@ -459,3 +461,53 @@ def export_heatmap(explanations) -> str:
         pct = "NA" if g.percentages is None else repr(g.percentages[col])
         lines.append(f"{_feature_label(col, q)},{g.importance[col]!r},{pct}")
     return "\n".join(lines) + "\n"
+
+
+def _average_linkage_order(phi: np.ndarray) -> list[int]:
+    """Leaf order of the average-linkage dendrogram of the rows of ``phi``.
+
+    Each step mirrors scipy's: distances are square roots of squared
+    differences summed feature by feature, as ``pdist`` sums them; the
+    chain starts at the lowest active row and moves to a strictly closer
+    row only, the lowest index winning a tie; merging x < y keeps slot y.
+    Raises :class:`NonFiniteInput` when a distance overflows.
+    """
+    n = len(phi)
+    d = np.zeros((n, n))
+    with np.errstate(over="ignore"):
+        for column in phi.T:
+            d += (column[:, None] - column[None, :]) ** 2
+    d = np.sqrt(d)
+    if not np.isfinite(d).all():
+        raise NonFiniteInput("attribution distances overflow a float")
+    # Every finite distance is below 1.4e154, the root of the largest float,
+    # so no average overflows and inf can keep the diagonal and merged slots
+    # out of every argmin.
+    np.fill_diagonal(d, np.inf)
+    size = np.ones(n, dtype=np.int64)
+    merges, chain = [], []
+    while len(merges) < n - 1:
+        if not chain:
+            chain.append(int(np.flatnonzero(size)[0]))
+        x = chain[-1]
+        y = int(np.argmin(d[x]))
+        if len(chain) == 1 or d[x, y] < d[x, chain[-2]]:
+            chain.append(y)
+            continue
+        y = chain[-2]
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        nx, ny = size[x], size[y]
+        merges.append((d[x, y], x, y))
+        d[y] = d[:, y] = (nx * d[x] + ny * d[y]) / (nx + ny)
+        d[x] = d[:, x] = np.inf
+        size[x], size[y] = 0, nx + ny
+    # Relabel in stable distance order as scipy does: merge k makes cluster
+    # n + k, whose leaves are its smaller root's leaves, then the other's.
+    cluster, leaves = list(range(n)), [[i] for i in range(n)]
+    for _, x, y in sorted(merges, key=lambda m: m[0]):
+        left, right = sorted((cluster[x], cluster[y]))
+        leaves.append(leaves[left] + leaves[right])
+        for i in leaves[-1]:
+            cluster[i] = len(leaves) - 1
+    return leaves[-1]

@@ -93,6 +93,8 @@ def test_unknown_override_key():
         ("split_ratio", 1.5),
         ("synth_profiles", 0),
         ("synth_samples", 3),
+        ("kan_grid", 2),
+        ("kan_grid", 3),
         ("synth_noise", -1.0),
         ("synth_noise", float("nan")),
         ("synth_noise", float("inf")),
@@ -388,7 +390,8 @@ def test_kan_run_outputs_match_pinned_bytes(tmp_path):
 @pytest.mark.parametrize("module", ["scipy.cluster", "concurrent.futures.process",
                                     "multiprocessing"])
 def test_cli_import_leaves_scipy_cluster_unloaded(module):
-    # Only the explain heatmap clusters, and only kan-run starts worker
+    # No command clusters with scipy (the explain heatmap orders its
+    # instances in numpy, see the next test), and only kan-run starts worker
     # processes; importing either up front would cost every command, in
     # memory (scipy.cluster, about 30 MB) or start-up time (the pool).
     env = {**os.environ, "PYTHONPATH": str(Path(rwtkit.__file__).parents[1])}
@@ -396,6 +399,25 @@ def test_cli_import_leaves_scipy_cluster_unloaded(module):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_explain_leaves_scipy_cluster_and_spatial_unloaded(tmp_path):
+    # The heatmap's average-linkage order is computed in numpy, so a whole
+    # explain run never pays for importing scipy's clustering (about 31 MB).
+    env = {**os.environ, "PYTHONPATH": str(Path(rwtkit.__file__).parents[1])}
+    base = ["--out", str(tmp_path / "r")]
+    code = (
+        "import sys\n"
+        "from rwtkit.cli import main\n"
+        f"assert main(['ingest', '--synthetic', '--synth-profiles', '12'] + {base!r}) == 0\n"
+        f"assert main(['train', '--model', 'cart', '--preset', 'quick'] + {base!r}) == 0\n"
+        f"assert main(['explain', '--model', 'cart'] + {base!r}) == 0\n"
+        "print('scipy.cluster' in sys.modules, 'scipy.spatial' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "False False"
+    assert (tmp_path / "r" / "shap_heatmap.csv").is_file()
 
 
 # --- synthetic end-to-end pipeline -------------------------------------------

@@ -100,6 +100,14 @@ def test_file_is_sorted_json_with_newline(models, tmp_path):
     assert list(doc) == sorted(doc)
 
 
+@pytest.mark.parametrize("kind", ["tree", "forest", "boosted", "mlp", "kan"])
+def test_streamed_file_equals_dumped_document(kind, models, tmp_path):
+    path = tmp_path / "m.json"
+    save_model(models[kind], path)
+    want = json.dumps(model_document(models[kind]), sort_keys=True, indent=1) + "\n"
+    assert path.read_text() == want
+
+
 def test_unserializable_object_rejected():
     with pytest.raises(TypeError):
         model_document(object())

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -214,6 +215,71 @@ def test_export_heatmap_shape():
     assert lines[1].startswith("f(x),")
     assert len(lines[0].split(",")) == 7  # label + 6 instances
     assert text == export_heatmap(exps)
+
+
+# --- heatmap order against scipy ---------------------------------------------
+#
+# The heatmap's average-linkage order is computed without scipy.cluster; scipy's
+# own linkage/leaves_list is the oracle, on matrices built to tie: integer
+# grids, duplicated rows, zero columns and features scaled from 1e-8 to 1e8.
+
+
+def scipy_order(phi):
+    from scipy.cluster.hierarchy import ClusterWarning, leaves_list, linkage
+
+    # A square 2-D input is still read as observations; scipy only warns
+    # when one happens to look like a distance matrix.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClusterWarning)
+        z = linkage(phi, method="average", metric="euclidean")
+    return [int(i) for i in leaves_list(z)]
+
+
+def tie_prone_matrix(rng, family):
+    n, q = int(rng.integers(2, 41)), int(rng.integers(1, 11))
+    if family == "grid":
+        phi = rng.integers(-2, 3, size=(n, q)).astype(float)
+    elif family == "duplicates":
+        distinct = rng.normal(size=(int(rng.integers(1, n // 2 + 2)), q))
+        phi = distinct[rng.integers(0, len(distinct), size=n)]
+    elif family == "zero_columns":
+        phi = rng.integers(0, 3, size=(n, q)) * rng.normal(size=q)
+        phi[:, rng.random(q) < 0.5] = 0.0
+    else:  # "scales"
+        phi = rng.normal(size=(n, q)) * 10.0 ** rng.uniform(-8, 8, size=q)
+    return phi * 10.0 ** int(rng.integers(-8, 9))
+
+
+TIE_PRONE_FAMILIES = ("grid", "duplicates", "zero_columns", "scales")
+
+
+@pytest.mark.parametrize("family", TIE_PRONE_FAMILIES)
+def test_heatmap_order_matches_scipy(family):
+    rng = np.random.default_rng(TIE_PRONE_FAMILIES.index(family))
+    for _ in range(500):
+        phi = tie_prone_matrix(rng, family)
+        assert shapley._average_linkage_order(phi) == scipy_order(phi), phi.tolist()
+
+
+def test_heatmap_order_small_cases():
+    assert shapley._average_linkage_order(np.array([[3.0, -1.0]])) == [0]
+    for phi in ([[1.0], [0.0]], [[0.0], [0.0]], [[2.0, 1.0], [1e-300, 0.0]]):
+        assert shapley._average_linkage_order(np.array(phi)) == scipy_order(phi)
+
+
+def test_heatmap_order_rejects_overflowing_distances():
+    phi = np.array([[1e155, 0.0], [-1e155, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteInput):
+        shapley._average_linkage_order(phi)
+
+
+def test_export_heatmap_orders_tied_instances_like_scipy():
+    model = LinearModel([1.0, 0.0, 0.0, 2.0])
+    grid = np.random.default_rng(6).integers(0, 2, size=(12, 4)).astype(float)
+    exps = shap_batch(model, grid, BackgroundSet(np.zeros((1, 4))))
+    header = export_heatmap(exps).split("\n")[0]
+    want = scipy_order(np.stack([e.phi for e in exps]))
+    assert header == "instance," + ",".join(str(i) for i in want)
 
 
 def test_instance_keys_flow_to_exports(small_xy):
