@@ -50,7 +50,7 @@ from .features import Feature, ObservationProfile, Scaler, scaler_fit
 from .kan import incremental_experiment, kan_init, kan_train, regime_layout
 from .metrics import metrics, per_group_metrics, quantile_compare
 from .mlp import mlp_init, mlp_train
-from .serialize import load_model, reading, save_model, scaler_from_state, scaler_to_state
+from .serialize import from_state, load_model, reading, save_model, to_state
 from .shapley import BackgroundSet, export_heatmap, export_summary, shap_batch, shap_global
 from .symbolic import eval_expression
 from .trees import BoostParams, ForestParams, TreeParams, gbm_fit, rf_fit, tree_fit
@@ -338,7 +338,7 @@ def _parse_split(text: str) -> SplitPlan:
 def _normalized_split(out_dir: Path):
     """(train x/y, test x/y, scaler, test matrix) in normalized space."""
     profile_set = _read_ingested(out_dir, "profiles.jsonl", _parse_profiles)
-    scaler = _read_ingested(out_dir, "scaler.json", lambda t: scaler_from_state(json.loads(t)))
+    scaler = _read_ingested(out_dir, "scaler.json", lambda t: from_state(Scaler, json.loads(t)))
     plan = _read_ingested(out_dir, "split.json", _parse_split)
     dm = design_matrix(profile_set)
     train = dm.subset(plan.train)
@@ -396,7 +396,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
     }
     _emit(cfg, "ingest", cfg.synth_seed if cfg.synthetic else cfg.split_seed, {
         "profiles.jsonl": _profiles_jsonl(profile_set),
-        "scaler.json": _json_dumps(scaler_to_state(scaler)),
+        "scaler.json": _json_dumps(to_state(scaler)),
         "split.json": _json_dumps(split),
         "ingest_notes.json": _json_dumps(source_note),
     })

@@ -15,6 +15,7 @@ samples always land on the same side of a split or fold.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import io
@@ -149,17 +150,36 @@ class ParseResult:
     rejected: tuple[tuple[ProfileKey, str], ...] = ()
 
 
-def _open_text(source) -> io.TextIOBase:
+def _open_text(source):
+    """A context manager over the text of a path, literal text or stream.
+
+    It closes a file it opens; a caller's stream is left open.
+    """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         return open(source, "r", newline="")
     if isinstance(source, str):
         return io.StringIO(source)
-    return source
+    return contextlib.nullcontext(source)
 
 
-def _check_header(row: list[str] | None, expected: list[str], what: str) -> None:
-    if row != expected:
-        raise SchemaMismatch(f"{what} header {row!r} does not match {expected!r}")
+def _csv_rows(source, header: list[str], what: str):
+    """Yield ``(lineno, row)`` for each non-blank row after a checked header.
+
+    Every row yielded has as many fields as ``header``.
+    """
+    with _open_text(source) as stream:
+        reader = csv.reader(stream)
+        row = next(reader, None)
+        if row != header:
+            raise SchemaMismatch(f"{what} header {row!r} does not match {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaMismatch(
+                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield lineno, row
 
 
 def _parse_date(text: str, lineno: int) -> datetime.date:
@@ -188,16 +208,9 @@ def parse_observations(source, on_invalid: str = "raise") -> ParseResult:
     """
     if on_invalid not in ("raise", "collect"):
         raise ValueError(f"on_invalid must be 'raise' or 'collect', got {on_invalid!r}")
-    stream = _open_text(source)
-    reader = csv.reader(stream)
-    _check_header(next(reader, None), OBSERVATIONS_HEADER, "observations")
     groups: dict[ProfileKey, list[tuple[float, float]]] = {}
     dates: dict[ProfileKey, datetime.date] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(OBSERVATIONS_HEADER):
-            raise SchemaMismatch(f"line {lineno}: expected 5 fields, got {len(row)}")
+    for lineno, row in _csv_rows(source, OBSERVATIONS_HEADER, "observations"):
         reservoir_id, date_text, site_id, depth_text, temp_text = row
         date = _parse_date(date_text, lineno)
         depth = _parse_float(depth_text, "depth_m", lineno)
@@ -233,15 +246,8 @@ def parse_observations(source, on_invalid: str = "raise") -> ParseResult:
 
 def parse_daily(source) -> DailySeries:
     """Read the daily covariate series; duplicate reservoir-days are rejected."""
-    stream = _open_text(source)
-    reader = csv.reader(stream)
-    _check_header(next(reader, None), DAILY_HEADER, "daily covariates")
     records: dict[tuple[str, datetime.date], DailyRecord] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(DAILY_HEADER):
-            raise SchemaMismatch(f"line {lineno}: expected 7 fields, got {len(row)}")
+    for lineno, row in _csv_rows(source, DAILY_HEADER, "daily covariates"):
         reservoir_id = row[0]
         date = _parse_date(row[1], lineno)
         if (reservoir_id, date) in records:
@@ -255,15 +261,8 @@ def parse_daily(source) -> DailySeries:
 
 
 def parse_morphometry(source) -> Morphometry:
-    stream = _open_text(source)
-    reader = csv.reader(stream)
-    _check_header(next(reader, None), MORPHOMETRY_HEADER, "morphometry")
     records: dict[str, tuple[float, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(MORPHOMETRY_HEADER):
-            raise SchemaMismatch(f"line {lineno}: expected 3 fields, got {len(row)}")
+    for lineno, row in _csv_rows(source, MORPHOMETRY_HEADER, "morphometry"):
         reservoir_id = row[0]
         if reservoir_id in records:
             raise SchemaMismatch(f"line {lineno}: duplicate reservoir {reservoir_id}")

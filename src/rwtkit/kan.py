@@ -134,32 +134,6 @@ class KanNetwork:
         """Prediction from first-layer node values (n, width)."""
         return _propagate(self, s, start=1)
 
-    def to_state(self) -> dict:
-        return {
-            "layout": list(self.layout),
-            "grid_size": self.grid_size,
-            "coefs": [
-                [[[repr(float(v)) for v in edge] for edge in out] for out in layer]
-                for layer in self.coefs
-            ],
-            "bypass": [
-                [[repr(float(v)) for v in out] for out in layer] for layer in self.bypass
-            ],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "KanNetwork":
-        return cls(
-            layout=tuple(int(v) for v in state["layout"]),
-            grid_size=int(state["grid_size"]),
-            coefs=tuple(np.asarray(layer, dtype=float) for layer in
-                        ([[ [float(v) for v in edge] for edge in out] for out in layer]
-                         for layer in state["coefs"])),
-            bypass=tuple(np.asarray(layer, dtype=float) for layer in
-                         ([[float(v) for v in out] for out in layer]
-                          for layer in state["bypass"])),
-        )
-
 
 def kan_init(
     layout,
@@ -202,7 +176,7 @@ def _propagate(net: KanNetwork, a: np.ndarray, start: int) -> np.ndarray:
 
 
 def _forward_full(net: KanNetwork, x: np.ndarray, bas0: np.ndarray | None = None):
-    """Prediction plus per-layer caches for backprop and snapping.
+    """Prediction plus per-layer caches for backprop.
 
     ``bas0`` is the first layer's basis at ``x`` when the caller already has
     it.  The first layer's edge slopes are never consumed (backprop stops at
@@ -367,10 +341,6 @@ def _affine(child: Expr, a: float, b: float) -> Expr:
     return simplify(add(mul(const(a), child), const(b)))
 
 
-def _scaled(core: Expr, c: float, d: float) -> Expr:
-    return simplify(add(mul(const(c), core), const(d)))
-
-
 def _outer_lstsq(f: np.ndarray, v: np.ndarray):
     """Closed-form (c, d, sse) for v ~ c*f + d along the last axis.
 
@@ -472,32 +442,38 @@ def _build_linear(child, params):
     return _affine(child, a, b)
 
 
-def _make_wrapped(name, transform, guard, build_core):
-    """Candidate d + c*g(a*u + b) fitted by sweeping (a, b)."""
+def _wrapped_fit(transform, guard):
+    """Fit of d + c*transform(a*u + b) by sweeping (a, b)."""
 
     def fit(u, v):
         got = _sweep(u, v, _affine_feature(transform, guard), -10.0, 10.0, -10.0, 10.0)
         if got is None:
             return None
         _, a, b, c, d = got
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             pred = c * transform(a * u + b) + d
         return (a, b, c, d), pred
 
+    return fit
+
+
+def _make_wrapped(name, transform, guard, build_core):
+    """Candidate d + c*g(a*u + b) fitted by sweeping (a, b)."""
+
     def build(child, params):
         a, b, c, d = params
-        return _scaled(build_core(_affine(child, a, b)), c, d)
+        return _affine(build_core(_affine(child, a, b)), c, d)
 
+    fit = _wrapped_fit(transform, guard)
     return _Candidate(name=name, n_params=4, fit=fit, build=build)
 
 
-def _fit_exp(u, v):
-    def make(a_grid, b_grid, u_arr):
-        arg = a_grid[:, np.newaxis, np.newaxis] * u_arr + b_grid[np.newaxis, :, np.newaxis]
-        valid = np.max(np.abs(arg), axis=-1) <= 50.0
-        return np.exp(arg), valid
+def _guard_exp(arg, f):
+    return np.max(np.abs(arg), axis=-1) <= 50.0
 
-    got = _sweep(u, v, make, -10.0, 10.0, 0.0, 0.0)
+
+def _fit_exp(u, v):
+    got = _sweep(u, v, _affine_feature(np.exp, _guard_exp), -10.0, 10.0, 0.0, 0.0)
     if got is None:
         return None
     _, a, _, c, d = got
@@ -506,7 +482,7 @@ def _fit_exp(u, v):
 
 def _build_exp(child, params):
     a, c, d = params
-    return _scaled(Call("exp", simplify(mul(const(a), child))), c, d)
+    return _affine(Call("exp", simplify(mul(const(a), child))), c, d)
 
 
 def _fit_gauss(u, v):
@@ -528,7 +504,7 @@ def _fit_gauss(u, v):
 def _build_gauss(child, params):
     k, m, c, d = params
     sq = Pow(simplify(add(child, const(-m))), 2)
-    return _scaled(Call("exp", simplify(mul(const(-k), sq))), c, d)
+    return _affine(Call("exp", simplify(mul(const(-k), sq))), c, d)
 
 
 def _fit_sqshift(u, v):
@@ -548,22 +524,12 @@ def _fit_sqshift(u, v):
 
 def _build_sqshift(child, params):
     a, c, d = params
-    return _scaled(Pow(simplify(add(const(a), Neg(child))), 2), c, d)
+    return _affine(Pow(simplify(add(const(a), Neg(child))), 2), c, d)
 
 
 def _make_reciprocal(name, power):
     """Candidate d + c/(a*u + b)**power with the pole kept out of range."""
     transform = (lambda t: 1.0 / t) if power == 1 else (lambda t: 1.0 / (t * t))
-
-    def fit(u, v):
-        got = _sweep(u, v, _affine_feature(transform, _guard_away_from_zero),
-                     -10.0, 10.0, -10.0, 10.0)
-        if got is None:
-            return None
-        _, a, b, c, d = got
-        with np.errstate(divide="ignore"):
-            pred = c * transform(a * u + b) + d
-        return (a, b, c, d), pred
 
     def build(child, params):
         a, b, c, d = params
@@ -571,6 +537,7 @@ def _make_reciprocal(name, power):
         den = inner if power == 1 else Pow(inner, 2)
         return simplify(add(Div(const(c), den), const(d)))
 
+    fit = _wrapped_fit(transform, _guard_away_from_zero)
     return _Candidate(name=name, n_params=4, fit=fit, build=build)
 
 
@@ -698,17 +665,19 @@ def kan_snap(
         raise InvalidParam(
             f"var_indices has {len(var_indices)} entries for {net.n_inputs} inputs"
         )
-    _, caches = _forward_full(net, x)
+    inputs = [x]  # each layer's inputs, from values only, as in _propagate
+    for l in range(len(net.layout) - 2):
+        inputs.append(_edge_out(net, l, inputs[-1], net.basis.evaluate(inputs[-1])).sum(axis=2))
     exprs: list[Expr] = [Var(int(i)) for i in var_indices]
     reports: list[EdgeReport] = []
-    for l, cache in enumerate(caches):
+    for l, a in enumerate(inputs):
         q_width = net.layout[l + 1]
         p_width = net.layout[l]
         next_exprs: list[Expr] = []
         for qi in range(q_width):
             terms: list[Expr] = []
             for pi in range(p_width):
-                reached = cache["a"][:, pi]
+                reached = a[:, pi]
                 u = np.linspace(float(reached.min()), float(reached.max()), subsample)
                 v = edge_function(net, l, qi, pi, u)
                 best = None

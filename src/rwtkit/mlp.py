@@ -62,25 +62,6 @@ class MlpModel:
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    def to_state(self) -> dict:
-        return {
-            "layout": list(self.layout),
-            "dropout_rate": self.dropout_rate,
-            "weights": [[[repr(float(v)) for v in row] for row in w] for w in self.weights],
-            "biases": [[repr(float(v)) for v in b] for b in self.biases],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "MlpModel":
-        return cls(
-            layout=tuple(int(v) for v in state["layout"]),
-            weights=tuple(
-                np.array([[float(v) for v in row] for row in w]) for w in state["weights"]
-            ),
-            biases=tuple(np.array([float(v) for v in b]) for b in state["biases"]),
-            dropout_rate=float(state["dropout_rate"]),
-        )
-
     def predict(self, x) -> np.ndarray:
         return mlp_forward(self, x)
 

@@ -1,20 +1,35 @@
-"""Versioned JSON persistence for trained models and scalers.
+"""Versioned JSON persistence for trained models and scalers: format 1.
 
-Every document is a wrapper ``{"format": "rwtkit-model", "version": 1,
-"kind": ..., "state": ...}`` around the model's own ``to_state`` payload.
-Numeric parameters inside the states are stored as ``repr`` strings, so a
-save/load round trip is bit-exact and the files diff cleanly.  Keys are
-always sorted, which makes the byte stream a pure function of the model.
+A model file is a wrapper ``{"format": "rwtkit-model", "version": 1,
+"kind": ..., "state": ...}``; ``scaler.json`` is a scaler's state alone.  A
+state maps each dataclass field of the object to its encoded value, under
+the field's name.  One rule encodes it: every float, alone, in a tuple or in
+a float array at any depth, is written as its ``repr`` string, so a
+save/load round trip is bit-exact and the files diff cleanly.  Ints, int
+arrays and strings stay JSON ints and strings, and a tuple of arrays or of
+trees is a list of encoded items.  The rule has two exceptions, the fields
+named in ``_PLAIN_FIELDS``, which are written as plain JSON values: a model's
+``params`` (its training settings, through ``dataclasses.asdict``) and an
+MLP's ``dropout_rate``.  Keys are always sorted, which makes the byte stream
+a pure function of the model.
+
+This module is the only one that knows the format: the model classes and
+:class:`~rwtkit.features.Scaler` are plain dataclasses, and :func:`to_state`
+and :func:`from_state` work from their fields and type hints.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from dataclasses import asdict, fields, is_dataclass
+from functools import cache, partial
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .errors import SchemaMismatch
-from .features import Scaler
 from .kan import KanNetwork
 from .mlp import MlpModel
 from .trees import BoostedEnsemble, DecisionTree, Forest
@@ -26,12 +41,15 @@ __all__ = [
     "load_model",
     "model_document",
     "reading",
-    "scaler_to_state",
-    "scaler_from_state",
+    "to_state",
+    "from_state",
 ]
 
 FORMAT_NAME = "rwtkit-model"
 FORMAT_VERSION = 1
+
+#: The fields written as plain JSON values rather than by the float rule.
+_PLAIN_FIELDS = frozenset({"params", "dropout_rate"})
 
 _KINDS = {
     "tree": DecisionTree,
@@ -40,6 +58,84 @@ _KINDS = {
     "mlp": MlpModel,
     "kan": KanNetwork,
 }
+
+
+def _repr_float(value) -> str:
+    return repr(float(value))
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _map_leaves(fn, value: list) -> list:
+    """``fn`` over the leaves of nested lists, one ``map`` per innermost list."""
+    if value and isinstance(value[0], list):
+        return [_map_leaves(fn, v) for v in value]
+    return list(map(fn, value))
+
+
+def _encode_array(a: np.ndarray) -> list:
+    return _map_leaves(repr, a.tolist()) if a.dtype.kind == "f" else a.tolist()
+
+
+def _decode_array(value) -> np.ndarray:
+    """Strings give a float64 array, ints an int64 array."""
+    leaf = _list(value)
+    while leaf and isinstance(leaf, list):
+        leaf = leaf[0]
+    if isinstance(leaf, str):
+        return np.array(_map_leaves(float, value))  # Python floats: float64
+    return np.array(value, dtype=np.int64)
+
+
+def _codec(hint, plain: bool):
+    """(encode, decode) for a value of type ``hint``."""
+    if is_dataclass(hint):
+        if plain:
+            return asdict, lambda value: hint(**value)
+        return to_state, partial(from_state, hint)
+    if get_origin(hint) is tuple:
+        encode, decode = _codec(get_args(hint)[0], plain)
+        return (lambda v: list(map(encode, v))), (lambda v: tuple(map(decode, _list(v))))
+    if hint is np.ndarray:
+        return _encode_array, _decode_array
+    if hint is float:
+        return (float if plain else _repr_float), float
+    if hint is int:
+        return int, int
+    if hint is str:
+        return str, _text
+    raise TypeError(f"no format-{FORMAT_VERSION} encoding for {hint!r}")
+
+
+@cache
+def _field_codecs(cls) -> tuple:
+    """(name, encode, decode) for each field of ``cls``, built once per class."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, *_codec(hints[f.name], f.name in _PLAIN_FIELDS)) for f in fields(cls))
+
+
+def to_state(obj) -> dict:
+    """The format-1 state of a model, tree or scaler."""
+    return {name: encode(getattr(obj, name)) for name, encode, _ in _field_codecs(type(obj))}
+
+
+def from_state(cls, state: dict):
+    """Rebuild a ``cls`` from :func:`to_state`'s output.
+
+    A value of the wrong JSON type raises ``TypeError``, and a missing field
+    ``KeyError``; :func:`reading` reports both as :class:`SchemaMismatch`.
+    """
+    return cls(**{name: decode(state[name]) for name, _, decode in _field_codecs(cls)})
 
 
 def _kind_of(model) -> str:
@@ -55,7 +151,7 @@ def model_document(model) -> dict:
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "kind": _kind_of(model),
-        "state": model.to_state(),
+        "state": to_state(model),
     }
 
 
@@ -98,24 +194,4 @@ def load_model(path):
         kind = doc.get("kind")
         if kind not in _KINDS:
             raise SchemaMismatch(f"{path}: unknown model kind {kind!r}")
-        return _KINDS[kind].from_state(doc["state"])
-
-
-def scaler_to_state(scaler: Scaler) -> dict:
-    return {
-        "mode": scaler.mode,
-        "feature_lo": [repr(v) for v in scaler.feature_lo],
-        "feature_hi": [repr(v) for v in scaler.feature_hi],
-        "target_lo": repr(scaler.target_lo),
-        "target_hi": repr(scaler.target_hi),
-    }
-
-
-def scaler_from_state(state: dict) -> Scaler:
-    return Scaler(
-        feature_lo=tuple(float(v) for v in state["feature_lo"]),
-        feature_hi=tuple(float(v) for v in state["feature_hi"]),
-        target_lo=float(state["target_lo"]),
-        target_hi=float(state["target_hi"]),
-        mode=state["mode"],
-    )
+        return from_state(_KINDS[kind], doc["state"])

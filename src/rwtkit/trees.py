@@ -34,7 +34,7 @@ prediction time, never the stored leaves.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -211,29 +211,6 @@ class DecisionTree:
         is the ``<=``-goes-left rule applied along the leaf's path.
         """
         return self._table.leaf_boxes()
-
-    def to_state(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "feature": [int(v) for v in self.feature],
-            "threshold": [repr(float(v)) for v in self.threshold],
-            "left": [int(v) for v in self.left],
-            "right": [int(v) for v in self.right],
-            "value": [repr(float(v)) for v in self.value],
-            "n_node_samples": [int(v) for v in self.n_node_samples],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "DecisionTree":
-        return cls(
-            feature=np.array(state["feature"], dtype=np.int64),
-            threshold=np.array([float(s) for s in state["threshold"]]),
-            left=np.array(state["left"], dtype=np.int64),
-            right=np.array(state["right"], dtype=np.int64),
-            value=np.array([float(s) for s in state["value"]]),
-            n_node_samples=np.array(state["n_node_samples"], dtype=np.int64),
-            n_features=int(state["n_features"]),
-        )
 
 
 def _mean_leaf(total: float, count: int) -> float:
@@ -481,21 +458,6 @@ class Forest(_Ensemble):
     def predict(self, x) -> np.ndarray:
         return self._table.reduce(x, _sorted_mean)
 
-    def to_state(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "params": asdict(self.params),
-            "trees": [t.to_state() for t in self.trees],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Forest":
-        return cls(
-            trees=tuple(DecisionTree.from_state(s) for s in state["trees"]),
-            params=ForestParams(**state["params"]),
-            n_features=int(state["n_features"]),
-        )
-
 
 def rf_fit(x, y, params: ForestParams = ForestParams()) -> Forest:
     """Fit a bagged forest.
@@ -592,25 +554,6 @@ class BoostedEnsemble(_Ensemble):
             return np.add.accumulate(np.concatenate(terms))[-1]  # row by row, for any shape
 
         return self._table.reduce(x, staged)
-
-    def to_state(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "base_score": repr(float(self.base_score)),
-            "params": asdict(self.params),
-            "trees": [t.to_state() for t in self.trees],
-            "train_mse": [repr(float(v)) for v in self.train_mse],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "BoostedEnsemble":
-        return cls(
-            base_score=float(state["base_score"]),
-            trees=tuple(DecisionTree.from_state(s) for s in state["trees"]),
-            params=BoostParams(**state["params"]),
-            n_features=int(state["n_features"]),
-            train_mse=tuple(float(v) for v in state["train_mse"]),
-        )
 
 
 def gbm_fit(x, y, params: BoostParams = BoostParams()) -> BoostedEnsemble:

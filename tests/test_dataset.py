@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rwtkit import dataset as dataset_module
 from rwtkit.dataset import (
     design_matrix,
     kfold,
@@ -149,6 +150,38 @@ def test_parse_daily_and_lookup():
 def test_parse_morphometry_ratio():
     morph = parse_morphometry(io.StringIO(f"{MORPH_HEADER}\nres1,3.0e6,30.0\n"))
     assert morph.surf_area_depth("res1") == pytest.approx(1.0e5)
+
+
+@pytest.mark.parametrize("parser, text, error", [
+    (parse_observations, obs_csv(PROFILE_ROWS).getvalue(), None),
+    (parse_daily, daily_csv().getvalue(), None),
+    (parse_morphometry, f"{MORPH_HEADER}\nres1,3.0e6,30.0\n", None),
+    (parse_morphometry, "a,b,c\n1,2,3\n", "header"),
+    (parse_observations, obs_csv(PROFILE_ROWS + ["res1,2015-06-88,s1,1.0,5.0"]).getvalue(),
+     "bad date"),
+], ids=["observations", "daily", "morphometry", "bad-header", "bad-row"])
+def test_parsers_close_the_files_they_open(parser, text, error, tmp_path, monkeypatch):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(dataset_module, "open", recording_open, raising=False)
+    if error is None:
+        parser(path)
+    else:
+        with pytest.raises(SchemaMismatch, match=error):
+            parser(path)
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_parsers_leave_a_callers_stream_open():
+    stream = daily_csv()
+    parse_daily(stream)
+    assert not stream.closed
 
 
 # --- rolling covariates ------------------------------------------------------

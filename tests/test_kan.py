@@ -295,19 +295,6 @@ def test_penalty_dominates_when_lambda_large():
     assert _max_edge_abs_mean_on_data(free, x) > 0.1
 
 
-# --- serialization -----------------------------------------------------------
-
-
-def test_state_round_trip(small_xy):
-    x, y = small_xy
-    net, _ = kan_train(kan_init((10, 2, 1), seed=0), x, y, steps=20)
-    clone = KanNetwork.from_state(net.to_state())
-    assert clone.layout == net.layout
-    assert np.array_equal(clone.forward(x), net.forward(x))
-    for a, b in zip(net.coefs, clone.coefs):
-        assert np.array_equal(a, b)
-
-
 # --- snapping ----------------------------------------------------------------
 
 

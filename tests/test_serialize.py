@@ -12,11 +12,11 @@ from rwtkit.mlp import MlpModel, mlp_forward, mlp_init, mlp_train
 from rwtkit.serialize import (
     FORMAT_NAME,
     FORMAT_VERSION,
+    from_state,
     load_model,
     model_document,
     save_model,
-    scaler_from_state,
-    scaler_to_state,
+    to_state,
 )
 from rwtkit.trees import (
     BoostParams,
@@ -151,12 +151,41 @@ def test_load_rejects_unknown_kind(models, tmp_path):
         load_model(_write(tmp_path, doc))
 
 
+def _fields_of(state: dict) -> list[tuple]:
+    """Key paths to every field of a state, and of its first tree if it has trees."""
+    paths = [(name,) for name in state]
+    if "trees" in state:
+        paths += [("trees", 0, name) for name in state["trees"][0]]
+    return paths
+
+
+@pytest.mark.parametrize("kind", ["tree", "forest", "boosted", "mlp", "kan"])
+def test_load_rejects_malformed_field(kind, models, tmp_path):
+    # A number where a list belongs, or a list where anything else belongs,
+    # fails while loading, not later in a model method.
+    text = json.dumps(model_document(models[kind]))
+    loaded = []
+    for path in _fields_of(json.loads(text)["state"]):
+        doc = json.loads(text)
+        holder = doc["state"]
+        for key in path[:-1]:
+            holder = holder[key]
+        value = holder[path[-1]]
+        holder[path[-1]] = 3 if isinstance(value, list) else [value]
+        try:
+            load_model(_write(tmp_path, doc))
+        except SchemaMismatch:
+            continue
+        loaded.append(path)
+    assert loaded == []
+
+
 # --- scaler state ------------------------------------------------------------
 
 
 def test_scaler_round_trip_exact():
     scaler = scaler_fit(None, mode="fixed")
-    clone = scaler_from_state(scaler_to_state(scaler))
+    clone = from_state(Scaler, to_state(scaler))
     assert clone.mode == scaler.mode
     assert clone.feature_lo == scaler.feature_lo
     assert clone.feature_hi == scaler.feature_hi
@@ -168,8 +197,8 @@ def test_scaler_state_preserves_awkward_floats():
     lo = tuple(v + 0.1 for v in range(10))
     hi = tuple(v + 1 / 3 for v in range(1, 11))
     scaler = Scaler(feature_lo=lo, feature_hi=hi, target_lo=0.1, target_hi=39.7, mode="from_data")
-    state = json.loads(json.dumps(scaler_to_state(scaler)))
-    clone = scaler_from_state(state)
+    state = json.loads(json.dumps(to_state(scaler)))
+    clone = from_state(Scaler, state)
     assert clone.feature_lo == lo
     assert clone.feature_hi == hi
     assert clone.target_lo == 0.1
