@@ -135,7 +135,7 @@ def from_state(cls, state: dict):
     A value of the wrong JSON type raises ``TypeError``, and a missing field
     ``KeyError``; :func:`reading` reports both as :class:`SchemaMismatch`.
     """
-    return cls(**{name: decode(state[name]) for name, _, decode in _field_codecs(cls)})
+    return cls(*[decode(state[name]) for name, _, decode in _field_codecs(cls)])
 
 
 def _kind_of(model) -> str:
