@@ -560,6 +560,10 @@ def cmd_explain(cfg: RunConfig) -> None:
     model = load_model(model_path)
     background = BackgroundSet(xtr).subsample(cfg.shap_background, seed=cfg.model_seed)
     instances = xte[: cfg.shap_instances]
+    if len(instances) < cfg.shap_instances:
+        print(f"rwtkit: warning: explaining {len(instances)} instances, fewer than "
+              f"--shap-instances {cfg.shap_instances}: the test split has no more rows",
+              file=sys.stderr)
     explanations = shap_batch(model, instances, background)
     g = shap_global(explanations)
     importance = {

@@ -29,6 +29,7 @@ import numpy as np
 from .equation_bank import load_bank
 from .errors import (
     MissingFeature,
+    NotFound,
     SchemaMismatch,
     TooFewProfiles,
     WindowGap,
@@ -153,10 +154,15 @@ class ParseResult:
 def _open_text(source):
     """A context manager over the text of a path, literal text or stream.
 
-    It closes a file it opens; a caller's stream is left open.
+    A string without a newline is a path, so literal text must contain a
+    newline.  A path that names no file raises :class:`NotFound`.  It
+    closes a file it opens; a caller's stream is left open.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
-        return open(source, "r", newline="")
+        try:
+            return open(source, "r", newline="")
+        except FileNotFoundError as exc:
+            raise NotFound(f"no file {str(source)!r} (literal text must contain a newline)") from exc
     if isinstance(source, str):
         return io.StringIO(source)
     return contextlib.nullcontext(source)
@@ -198,6 +204,9 @@ def _parse_float(text: str, column: str, lineno: int) -> float:
 
 def parse_observations(source, on_invalid: str = "raise") -> ParseResult:
     """Read profile observations from a CSV stream, path, or literal text.
+
+    Literal text must contain a newline; a string without one is a path,
+    and a path that names no file raises :class:`NotFound`.
 
     Rows sharing (reservoir_id, date, site_id) form one profile in file
     order.  Structural problems in the file itself (wrong header, bad
@@ -245,7 +254,11 @@ def parse_observations(source, on_invalid: str = "raise") -> ParseResult:
 
 
 def parse_daily(source) -> DailySeries:
-    """Read the daily covariate series; duplicate reservoir-days are rejected."""
+    """Read the daily covariate series; duplicate reservoir-days are rejected.
+
+    ``source`` is read as in :func:`parse_observations`: literal text must
+    contain a newline.
+    """
     records: dict[tuple[str, datetime.date], DailyRecord] = {}
     for lineno, row in _csv_rows(source, DAILY_HEADER, "daily covariates"):
         reservoir_id = row[0]
@@ -261,6 +274,11 @@ def parse_daily(source) -> DailySeries:
 
 
 def parse_morphometry(source) -> Morphometry:
+    """Read per-reservoir surface area and maximum depth.
+
+    ``source`` is read as in :func:`parse_observations`: literal text must
+    contain a newline.
+    """
     records: dict[str, tuple[float, float]] = {}
     for lineno, row in _csv_rows(source, MORPHOMETRY_HEADER, "morphometry"):
         reservoir_id = row[0]

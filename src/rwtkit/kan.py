@@ -20,13 +20,12 @@ expression, which is checked against the network before it is returned.
 
 from __future__ import annotations
 
-import os
-import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import parallel
 from .bspline import CubicSplineBasis
 from .errors import Diverged, DimensionMismatch, InvalidLayout, InvalidParam, SnapFailure
 from .features import model_rows
@@ -781,40 +780,6 @@ def _fit_record(xt, y_train, xv, y_test, regime, seed, var_indices, config) -> S
     )
 
 
-def _worker_count(n_tasks: int) -> int:
-    """Worker processes for ``n_tasks`` records: one per usable CPU."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_tasks))
-
-
-def _fit_records_in_pool(tasks: list, workers: int) -> tuple[StepRecord, ...]:
-    """:func:`_fit_record` over ``tasks`` in ``workers`` processes, in task order.
-
-    The widest prefix is dispatched first, since it takes longest.  The
-    first error in task order cancels the tasks not yet started, waits for
-    every worker to exit and is raised as the inline loop would raise it.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Forked workers need no ``if __name__ == "__main__"`` guard in the
-    # caller's script, which spawned ones do: without it every worker
-    # re-runs the script and the pool breaks.  Elsewhere fork is unsafe
-    # with the system libraries numpy may link, so workers are spawned.
-    start = "fork" if sys.platform.startswith("linux") else "spawn"
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(start))
-    try:
-        futures = [None] * len(tasks)
-        for i in sorted(range(len(tasks)), key=lambda i: -tasks[i][0].shape[1]):
-            futures[i] = pool.submit(_fit_record, *tasks[i])
-        return tuple(f.result() for f in futures)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def incremental_experiment(
     x_train,
     y_train,
@@ -859,7 +824,5 @@ def incremental_experiment(
         xt, xv = x_train[:, cols], x_test[:, cols]
         tasks.extend((xt, y_train, xv, y_test, regime, seed, var_indices[:k], config)
                      for seed in seeds)
-    workers = _worker_count(len(tasks))
-    if workers == 1:
-        return tuple(_fit_record(*task) for task in tasks)
-    return _fit_records_in_pool(tasks, workers)
+    # The widest prefix takes longest, so it is dispatched first.
+    return parallel.run_tasks(_fit_record, tasks, key=lambda task: -task[0].shape[1])

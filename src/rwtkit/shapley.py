@@ -36,6 +36,11 @@ value plus all attributions telescopes to the model's prediction at x
 (checked at 1e-9 whenever an explanation is built), features the model
 ignores get zero, and symmetric features get equal credit.
 
+Instances are independent, so :func:`shap_batch` explains its rows on
+every usable CPU: one contiguous chunk per worker process (inline when that
+is one; see :mod:`rwtkit.parallel`).  Each worker builds its own per-model
+tables, and the explanations are the same whatever the number of workers.
+
 Attribution is capped at 15 features; every path indexes the 2^q
 coalitions, which stop being a desk-scale table beyond that.  Instances and
 background rows must be finite.
@@ -56,6 +61,7 @@ from math import factorial
 
 import numpy as np
 
+from . import parallel
 from .errors import EmptyBackground, NonFiniteInput, TooManyFeatures
 from .features import Feature, model_rows
 from .kan import KanNetwork
@@ -150,6 +156,11 @@ class BackgroundSet:
         if not np.all(np.isfinite(rows)):
             raise NonFiniteInput("background rows must be finite")
         object.__setattr__(self, "rows", rows)
+
+    def __reduce__(self):
+        # The tables are keyed by object ids, which mean nothing in another
+        # process, so a pickled background carries its rows only.
+        return BackgroundSet, (self.rows,)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -356,15 +367,29 @@ def shap_exact(model, x, background: BackgroundSet, instance_key: str = "") -> S
     )
 
 
+def _explain_rows(model, matrix, background, start: int, stop: int) -> tuple[ShapExplanation, ...]:
+    return tuple(
+        shap_exact(model, matrix[i], background, instance_key=str(i))
+        for i in range(start, stop)
+    )
+
+
 def shap_batch(model, x_rows, background: BackgroundSet) -> tuple[ShapExplanation, ...]:
-    """Explain each row of an (n, q) matrix; keys are the row indices."""
+    """Explain each row of an (n, q) matrix; keys are the row indices.
+
+    The rows are split into one contiguous chunk per usable CPU, each
+    explained in a worker process (inline when that is one) that receives
+    the model, the rows and the background once.  The explanations come back in row order, and
+    the first error in row order is raised, as an inline loop would.
+    """
     matrix = np.asarray(x_rows, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"x_rows must be 2-D, got ndim={matrix.ndim}")
-    return tuple(
-        shap_exact(model, matrix[i], background, instance_key=str(i))
-        for i in range(len(matrix))
-    )
+    n_chunks = parallel.worker_count(len(matrix))
+    bounds = [len(matrix) * k // n_chunks for k in range(n_chunks + 1)]
+    chunks = parallel.run_tasks(_explain_rows, list(zip(bounds, bounds[1:])),
+                                shared=(model, matrix, background))
+    return tuple(e for chunk in chunks for e in chunk)
 
 
 @dataclass(frozen=True)

@@ -370,6 +370,20 @@ def test_explain_outputs_match_pinned_bytes(tmp_path):
             assert hashlib.sha256(data).hexdigest() == EXPLAIN_SHA256[(model, name)], (model, name)
 
 
+def test_explain_on_a_short_test_split_warns(tmp_path, capsys):
+    base = ["--out", str(tmp_path / "r")]
+    assert main(["ingest", "--synthetic", "--synth-profiles", "30"] + base) == 0
+    assert main(["train", "--model", "cart", "--preset", "quick"] + base) == 0
+    capsys.readouterr()
+    assert main(["explain", "--model", "cart", "--shap-instances", "100"] + base) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("explain: 54 instances of cart")
+    assert captured.err == ("rwtkit: warning: explaining 54 instances, fewer than "
+                            "--shap-instances 100: the test split has no more rows\n")
+    shap_global = json.loads((tmp_path / "r" / "shap_global.json").read_text())
+    assert shap_global["n_instances"] == 54
+
+
 #: SHA-256 of a complex-regime kan-run on 40 synthetic profiles (x86-64 Linux,
 #: numpy 2.4).  Any change to spline training or snapping shows up here.
 KAN_RUN_SHA256 = {
@@ -391,9 +405,10 @@ def test_kan_run_outputs_match_pinned_bytes(tmp_path):
                                     "multiprocessing"])
 def test_cli_import_leaves_scipy_cluster_unloaded(module):
     # No command clusters with scipy (the explain heatmap orders its
-    # instances in numpy, see the next test), and only kan-run starts worker
-    # processes; importing either up front would cost every command, in
-    # memory (scipy.cluster, about 30 MB) or start-up time (the pool).
+    # instances in numpy, see the next test), and only explain and kan-run
+    # start worker processes; importing either up front would cost every
+    # command, in memory (scipy.cluster, about 30 MB) or start-up time (the
+    # pool).
     env = {**os.environ, "PYTHONPATH": str(Path(rwtkit.__file__).parents[1])}
     code = f"import sys, rwtkit.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

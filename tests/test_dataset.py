@@ -24,6 +24,7 @@ from rwtkit.equation_bank import load_bank
 from rwtkit.errors import (
     MissingFeature,
     NonMonotoneDepths,
+    NotFound,
     SchemaMismatch,
     ShortProfile,
     WindowGap,
@@ -182,6 +183,16 @@ def test_parsers_leave_a_callers_stream_open():
     stream = daily_csv()
     parse_daily(stream)
     assert not stream.closed
+
+
+@pytest.mark.parametrize("parser", [parse_observations, parse_daily, parse_morphometry])
+def test_header_without_newline_is_a_path_that_is_not_found(parser, tmp_path):
+    # A one-line string is read as a path, so a header alone names no file.
+    with pytest.raises(NotFound, match="reservoir_id,surface_area_m2,max_depth_m"):
+        parser("reservoir_id,surface_area_m2,max_depth_m")
+    missing = tmp_path / "absent.csv"
+    with pytest.raises(NotFound, match="absent.csv"):
+        parser(missing)
 
 
 # --- rolling covariates ------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rwtkit import kan as kan_module
+from rwtkit import parallel
 from rwtkit.bspline import CubicSplineBasis
 from rwtkit.cli import main as cli_main
 from rwtkit.errors import Diverged, InvalidLayout, NonFiniteInput, SnapFailure
@@ -659,14 +660,14 @@ def test_incremental_experiment_structure(synth_small):
 
 
 def _force_workers(monkeypatch, n):
-    monkeypatch.setattr(kan_module, "_worker_count", lambda n_tasks: min(n, n_tasks))
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: min(n, n_tasks))
 
 
 def test_worker_count_is_usable_cpus_capped_by_tasks():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert kan_module._worker_count(0) == 1
-    assert kan_module._worker_count(1) == 1
-    assert kan_module._worker_count(10_000) == cpus
+    assert parallel.worker_count(0) == 1
+    assert parallel.worker_count(1) == 1
+    assert parallel.worker_count(10_000) == cpus
 
 
 def test_pooled_records_equal_inline_records(monkeypatch, synth_small):

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import multiprocessing
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rwtkit import shapley
+from rwtkit import parallel, shapley
 from rwtkit.errors import (
     DimensionMismatch,
     EmptyBackground,
@@ -413,3 +414,88 @@ def test_non_finite_rows_rejected(small_xy, bad):
     with pytest.raises(NonFiniteInput):
         BackgroundSet(rows)
     assert issubclass(NonFiniteInput, RwtError)
+
+
+# --- explanations in worker processes ----------------------------------------
+
+
+def _force_workers(monkeypatch, n):
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: max(1, min(n, n_tasks)))
+
+
+def pool_models(x, y):
+    """One model of each kind the attribution has a path for, by name."""
+    return {
+        "cart": tree_fit(x, y, TreeParams(max_depth=4)),
+        "rf": rf_fit(x, y, ForestParams(n_estimators=4, max_depth=4, seed=0)),
+        "gbm": gbm_fit(x, y, BoostParams(n_estimators=5, max_depth=3, seed=0)),
+        "mlp": mlp_init((10, 6, 1), seed=3),
+        "kan": kan_init((10, 2, 1), grid_size=5, seed=2),
+        "callable": LinearModel(np.linspace(-1.0, 1.0, 10), 0.5).predict,
+    }
+
+
+def _refuses_large_inputs(matrix):
+    if np.any(matrix > 100.0):
+        raise OverflowError("input above 100")
+    return matrix.sum(axis=1)
+
+
+def test_pooled_explanations_equal_inline_ones(monkeypatch, small_xy):
+    x, y = small_xy
+    rows = x[40:45]
+    for name, model in pool_models(x, y).items():
+        runs = {}
+        for workers in (1, 2):
+            _force_workers(monkeypatch, workers)
+            # A fresh background each time, so the workers build their own tables.
+            runs[workers] = shap_batch(model, rows, BackgroundSet(x[:16]))
+            assert multiprocessing.active_children() == []
+        assert [e.instance_key for e in runs[2]] == ["0", "1", "2", "3", "4"]
+        assert repr(runs[2]) == repr(runs[1]), name
+
+
+def test_pooled_explanations_with_fewer_rows_than_workers(monkeypatch, small_xy):
+    x, y = small_xy
+    model = pool_models(x, y)["gbm"]
+    background = BackgroundSet(x[:16])
+    _force_workers(monkeypatch, 4)
+    for rows in (x[40:43], x[40:41], x[40:40]):
+        want = tuple(shap_exact(model, row, background, instance_key=str(i))
+                     for i, row in enumerate(rows))
+        assert shap_batch(model, rows, BackgroundSet(x[:16])) == want
+        assert multiprocessing.active_children() == []
+
+
+def test_pooled_error_is_the_first_in_row_order(monkeypatch, small_xy):
+    # Row 1 closes the first chunk with a NaN; row 2 opens the second with
+    # a value the model refuses, so the second chunk fails first in time.
+    x, _ = small_xy
+    rows = x[40:44].copy()
+    rows[1, 3] = np.nan
+    rows[2, 0] = 1e3
+    background = BackgroundSet(x[:16])
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(NonFiniteInput):
+            shap_batch(_refuses_large_inputs, rows, background)
+        assert multiprocessing.active_children() == []
+    with pytest.raises(OverflowError, match="input above 100"):
+        shap_batch(_refuses_large_inputs, rows[2:], background)
+    assert multiprocessing.active_children() == []
+
+
+def test_spawned_workers_give_the_same_explanations(monkeypatch, small_xy):
+    # Where workers are spawned they start from a fresh import and unpickle
+    # the model, the rows and the background.
+    x, y = small_xy
+    models = pool_models(x, y)
+    rows = x[40:43]
+    _force_workers(monkeypatch, 1)
+    inline = {name: shap_batch(models[name], rows, BackgroundSet(x[:16]))
+              for name in ("rf", "mlp", "kan")}
+    monkeypatch.setattr(parallel, "START_METHOD", "spawn")
+    _force_workers(monkeypatch, 2)
+    for name, want in inline.items():
+        assert repr(shap_batch(models[name], rows, BackgroundSet(x[:16]))) == repr(want), name
+    assert multiprocessing.active_children() == []
