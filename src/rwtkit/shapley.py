@@ -379,8 +379,9 @@ def shap_batch(model, x_rows, background: BackgroundSet) -> tuple[ShapExplanatio
 
     The rows are split into one contiguous chunk per usable CPU, each
     explained in a worker process (inline when that is one) that receives
-    the model, the rows and the background once.  The explanations come back in row order, and
-    the first error in row order is raised, as an inline loop would.
+    the model, the rows and the background once.  The explanations come
+    back in row order, and the first error in row order is raised, as an
+    inline loop would raise it.
     """
     matrix = np.asarray(x_rows, dtype=float)
     if matrix.ndim != 2:
