@@ -274,6 +274,13 @@ def _disp(value) -> str:
     return format(value, DISPLAY_DIGITS)
 
 
+def _md_table(header: list[str], rows) -> list[str]:
+    """A markdown table: the header, its rule, then one line per row of cells."""
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines.extend("| " + " | ".join(str(cell) for cell in row) + " |" for row in rows)
+    return lines
+
+
 # --- run-directory artifacts -------------------------------------------------
 
 
@@ -340,6 +347,12 @@ def _normalized_split(out_dir: Path):
     profile_set = _read_ingested(out_dir, "profiles.jsonl", _parse_profiles)
     scaler = _read_ingested(out_dir, "scaler.json", lambda t: from_state(Scaler, json.loads(t)))
     plan = _read_ingested(out_dir, "split.json", _parse_split)
+    # A split plan has two non-empty sides, so with every key present
+    # neither side of the design matrix comes out empty.
+    missing = sorted(set(plan.train + plan.test) - set(profile_set.keys()))
+    if missing:
+        raise SchemaMismatch(f"{out_dir / 'split.json'} names {len(missing)} profiles absent "
+                             f"from {out_dir / 'profiles.jsonl'}, first {list(missing[0])}")
     dm = design_matrix(profile_set)
     train = dm.subset(plan.train)
     test = dm.subset(plan.test)
@@ -372,7 +385,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
         for name in ("observations", "daily", "morphometry"):
             if not getattr(cfg, name):
                 raise ConfigError(f"{name} path is required without synthetic = true")
-        result = parse_observations(cfg.observations, on_invalid="collect")
+        result = parse_observations(cfg.observations)
         daily = parse_daily(cfg.daily)
         morphometry = parse_morphometry(cfg.morphometry)
         profile_set = attach_covariates(result.profile_set, daily, morphometry)
@@ -657,12 +670,9 @@ def _published_reference_lines(bank) -> list[str]:
         "Published reference values (from the source equation tables; not locally",
         "reproduced -- the originating dataset is not distributed):",
         "",
-        "| set | inputs | published r2 |",
-        "|---|---|---|",
     ]
-    for entry in bank.entries:
-        lines.append(f"| {entry.set_name} | {entry.n_inputs} | {entry.r2_text} |")
-    return lines
+    return lines + _md_table(["set", "inputs", "published r2"],
+                             [(e.set_name, e.n_inputs, e.r2_text) for e in bank.entries])
 
 
 def cmd_report(cfg: RunConfig) -> None:
@@ -699,15 +709,10 @@ def cmd_report(cfg: RunConfig) -> None:
             summary = json.loads(metrics_path.read_text())
             lines.append("## Test metrics (degC)")
             lines.append("")
-            lines.append("| model | rmse | mae | r2 |")
-            lines.append("|---|---|---|---|")
-            for name in sorted(summary):
-                row = summary[name]
-                r2 = "NA" if row["r2"] is None else _disp(float(row["r2"]))
-                lines.append(
-                    f"| {name} | {_disp(float(row['rmse_c']))} "
-                    f"| {_disp(float(row['mae_c']))} | {r2} |"
-                )
+            lines.extend(_md_table(["model", "rmse", "mae", "r2"], [
+                (name, _disp(float(row["rmse_c"])), _disp(float(row["mae_c"])),
+                 "NA" if row["r2"] is None else _disp(float(row["r2"])))
+                for name, row in sorted(summary.items())]))
             lines.append("")
 
     shap_path = out_dir / "shap_global.json"
@@ -716,12 +721,11 @@ def cmd_report(cfg: RunConfig) -> None:
             g = json.loads(shap_path.read_text())
             lines.append(f"## Attribution ({g['model']}, {g['n_instances']} instances)")
             lines.append("")
-            lines.append("| rank | feature | mean abs value | share |")
-            lines.append("|---|---|---|---|")
             ranked = sorted(g["importance"].items(), key=lambda kv: kv[1]["rank"])
-            for name, row in ranked:
-                share = "NA" if row["percentage"] is None else _disp(float(row["percentage"])) + "%"
-                lines.append(f"| {row['rank']} | {name} | {_disp(float(row['mean_abs_shap']))} | {share} |")
+            lines.extend(_md_table(["rank", "feature", "mean abs value", "share"], [
+                (row["rank"], name, _disp(float(row["mean_abs_shap"])),
+                 "NA" if row["percentage"] is None else _disp(float(row["percentage"])) + "%")
+                for name, row in ranked]))
             lines.append("")
 
     curve_path = out_dir / "r2_curve.csv"
@@ -729,11 +733,9 @@ def cmd_report(cfg: RunConfig) -> None:
         with reading(curve_path):
             lines.append("## Accuracy vs number of inputs")
             lines.append("")
-            lines.append("| inputs | mean test r2 |")
-            lines.append("|---|---|")
-            for row in curve_path.read_text().splitlines()[1:]:
-                k, mean, _ = row.split(",")
-                lines.append(f"| {k} | {_disp(float(mean))} |")
+            rows = [row.split(",") for row in curve_path.read_text().splitlines()[1:]]
+            lines.extend(_md_table(["inputs", "mean test r2"],
+                                   [(k, _disp(float(mean))) for k, mean, _ in rows]))
             lines.append("")
 
     lines.append("## Reference equations")

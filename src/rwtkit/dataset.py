@@ -10,7 +10,7 @@ CSV layouts (headers are matched exactly):
   reservoir.
 
 Dates are ISO ``YYYY-MM-DD``.  All splitting is profile-atomic: a profile's
-samples always land on the same side of a split or fold.
+samples always land on the same side of a split.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "attach_covariates",
     "design_matrix",
     "split_profiles",
-    "kfold",
     "synth_generate",
 ]
 
@@ -97,9 +96,6 @@ class ProfileSet:
     def keys(self) -> tuple[ProfileKey, ...]:
         return tuple(p.key for p in self.profiles)
 
-    def n_samples(self) -> int:
-        return sum(p.n_samples for p in self.profiles)
-
 
 @dataclass(frozen=True)
 class DailyRecord:
@@ -121,9 +117,6 @@ class DailySeries:
             return self.records[(reservoir_id, date)]
         except KeyError:
             raise WindowGap(f"no daily record for {reservoir_id} on {date}") from None
-
-    def has(self, reservoir_id: str, date: datetime.date) -> bool:
-        return (reservoir_id, date) in self.records
 
 
 @dataclass(frozen=True)
@@ -202,7 +195,7 @@ def _parse_float(text: str, column: str, lineno: int) -> float:
         raise SchemaMismatch(f"line {lineno}: bad {column} value {text!r}") from exc
 
 
-def parse_observations(source, on_invalid: str = "raise") -> ParseResult:
+def parse_observations(source) -> ParseResult:
     """Read profile observations from a CSV stream, path, or literal text.
 
     Literal text must contain a newline; a string without one is a path,
@@ -212,11 +205,8 @@ def parse_observations(source, on_invalid: str = "raise") -> ParseResult:
     order.  Structural problems in the file itself (wrong header, bad
     numbers, duplicate depth rows) always raise :class:`SchemaMismatch`.
     Profile-level problems (too short, depths out of order or negative)
-    raise with ``on_invalid="raise"`` or are collected as (key, reason)
-    pairs with ``on_invalid="collect"``; validation is total either way.
+    are collected as (key, reason) pairs, so validation is total.
     """
-    if on_invalid not in ("raise", "collect"):
-        raise ValueError(f"on_invalid must be 'raise' or 'collect', got {on_invalid!r}")
     groups: dict[ProfileKey, list[tuple[float, float]]] = {}
     dates: dict[ProfileKey, datetime.date] = {}
     for lineno, row in _csv_rows(source, OBSERVATIONS_HEADER, "observations"):
@@ -244,8 +234,6 @@ def parse_observations(source, on_invalid: str = "raise") -> ParseResult:
                 )
             )
         except Exception as exc:
-            if on_invalid == "raise":
-                raise
             rejected.append((key, f"{type(exc).__name__}: {exc}"))
     return ParseResult(
         profile_set=ProfileSet(tuple(profiles), provenance="observations csv"),
@@ -372,9 +360,6 @@ class DesignMatrix:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def reservoirs(self) -> tuple[str, ...]:
-        return tuple(k[0] for k in self.keys)
-
     def subset(self, keys: Iterable[ProfileKey]) -> "DesignMatrix":
         wanted = set(keys)
         mask = np.array([k in wanted for k in self.keys], dtype=bool)
@@ -493,31 +478,6 @@ def split_profiles(
     if not train or not test:
         raise TooFewProfiles("could not form non-empty train and test sides")
     return SplitPlan(train=tuple(train), test=tuple(test), ratio=ratio, seed=seed)
-
-
-def kfold(
-    keys: Sequence[ProfileKey] | ProfileSet,
-    k: int = 5,
-    seed: int = 42,
-) -> tuple[tuple[ProfileKey, ...], ...]:
-    """Partition profile keys into ``k`` disjoint folds.
-
-    Keys are sorted, shuffled with ``numpy.random.default_rng(seed)``, and
-    dealt into folds whose sizes differ by at most one (earlier folds take
-    the remainder).
-    """
-    key_list = sorted(set(_keys_of(keys)))
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if len(key_list) < k:
-        raise TooFewProfiles(f"need at least {k} profiles for {k} folds, got {len(key_list)}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(key_list))
-    shuffled = [key_list[i] for i in order]
-    folds = []
-    for chunk in np.array_split(np.arange(len(shuffled)), k):
-        folds.append(tuple(shuffled[i] for i in chunk))
-    return tuple(folds)
 
 
 @dataclass(frozen=True)

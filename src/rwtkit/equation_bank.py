@@ -21,8 +21,6 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .errors import NotFound, SchemaMismatch
 from .symbolic import Expr, eval_expression, parse_expression, variables
 
@@ -32,7 +30,6 @@ __all__ = [
     "BankEntry",
     "EquationBank",
     "load_bank",
-    "bank_eval",
 ]
 
 BANK_VERSION = 1
@@ -95,15 +92,6 @@ class EquationBank:
                 return entry
         raise NotFound(f"no bank entry {set_name}/{n_inputs}")
 
-    def entries_for(self, set_name: str) -> tuple[BankEntry, ...]:
-        if set_name not in SET_NAMES:
-            raise NotFound(f"no equation set {set_name!r}")
-        return tuple(e for e in self.entries if e.set_name == set_name)
-
-    def r2_curve(self, set_name: str) -> list[tuple[int, float]]:
-        """(n_inputs, published R-squared) pairs, ascending by input count."""
-        return [(e.n_inputs, e.r2) for e in self.entries_for(set_name)]
-
 
 def _default_bank_bytes() -> bytes:
     return resources.files("rwtkit.data").joinpath(BANK_FILENAME).read_bytes()
@@ -163,8 +151,3 @@ def load_bank(path: str | Path | None = None) -> EquationBank:
     if path is None:
         return _load_default_bank()
     return _parse_bank(Path(path).read_bytes(), verify_checksum=False)
-
-
-def bank_eval(set_name: str, n_inputs: int, x) -> float | np.ndarray:
-    """Evaluate the bank entry ``set_name``/``n_inputs`` at ``x``."""
-    return load_bank().get(set_name, n_inputs).evaluate(x)

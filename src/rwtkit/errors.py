@@ -120,9 +120,5 @@ class SnapFailure(RwtError):
     """No symbolic candidate fits an edge to the required quality."""
 
 
-class ConstantTruth(RwtError):
-    """R-squared is undefined because the observed values are constant."""
-
-
 class NotFound(RwtError):
     """A requested bank entry or artifact does not exist."""

@@ -47,11 +47,8 @@ __all__ = [
     "FIXED_FEATURE_RANGES",
     "DEFAULT_TARGET_RANGE",
     "ObservationProfile",
-    "FeatureVector",
     "Scaler",
     "scaler_fit",
-    "scale_apply",
-    "scale_invert",
 ]
 
 
@@ -73,12 +70,6 @@ class Feature(enum.IntEnum):
     def symbol(self) -> str:
         """The ``xN`` symbol used in symbolic equations."""
         return f"x{self.value}"
-
-    @classmethod
-    def from_symbol(cls, symbol: str) -> "Feature":
-        if not symbol.startswith("x"):
-            raise KeyError(symbol)
-        return cls(int(symbol[1:]))
 
     @property
     def column(self) -> int:
@@ -160,54 +151,16 @@ class ObservationProfile:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One normalized model input row.
-
-    ``x`` is the ten predictors in canonical order, normalized to [0, 1]
-    when in range.  ``out_of_range`` lists predictors whose raw value fell
-    outside the scaler's bounds; such values are flagged, never clipped, so
-    ``x`` entries may lie outside [0, 1].
-    """
-
-    x: tuple[float, ...]
-    y: float | None = None
-    out_of_range: frozenset[Feature] = frozenset()
-
-    def __post_init__(self) -> None:
-        if len(self.x) != len(Feature):
-            raise ValueError(f"expected {len(Feature)} features, got {len(self.x)}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.x, dtype=float)
-
-
 def model_rows(x, width: int) -> np.ndarray:
-    """Model input (a :class:`FeatureVector`, one row or a matrix) as finite
-    (n, width) rows; every model checks its inputs here."""
-    arr = np.asarray(x.as_array() if isinstance(x, FeatureVector) else x, dtype=float)
+    """Model input (one row or a matrix) as finite (n, width) rows; every
+    model checks its inputs here."""
+    arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
     if arr.ndim != 2 or arr.shape[1] != width:
         raise DimensionMismatch(f"model takes rows of width {width}, input has shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("model inputs must be finite")
-    return arr
-
-
-def _as_raw_array(raw: Mapping[Feature, float] | Sequence[float]) -> np.ndarray:
-    if isinstance(raw, Mapping):
-        values = []
-        for f in Feature:
-            if f not in raw:
-                raise MissingFeature(f"feature {f.name} (x{f.value}) missing from row")
-            values.append(float(raw[f]))
-        return np.array(values, dtype=float)
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (len(Feature),):
-        raise MissingFeature(
-            f"expected {len(Feature)} raw feature values, got shape {arr.shape}"
-        )
     return arr
 
 
@@ -241,8 +194,6 @@ class Scaler:
                 f"target bounds ({self.target_lo}, {self.target_hi}) have no width"
             )
 
-    # -- arrays ------------------------------------------------------------
-
     def _lo(self) -> np.ndarray:
         return np.array(self.feature_lo, dtype=float)
 
@@ -268,20 +219,6 @@ class Scaler:
         lo, hi = self._lo(), self._hi()
         return x_norm * (hi - lo) + lo
 
-    # -- single rows -------------------------------------------------------
-
-    def apply(
-        self,
-        raw: Mapping[Feature, float] | Sequence[float],
-        temp_c: float | None = None,
-    ) -> FeatureVector:
-        """Normalize one raw row (and optionally its target)."""
-        arr = _as_raw_array(raw)
-        x_norm, oob = self.transform(arr[np.newaxis, :])
-        flags = frozenset(f for f in Feature if oob[0, f.column])
-        y = None if temp_c is None else self.apply_target(temp_c)
-        return FeatureVector(x=tuple(float(v) for v in x_norm[0]), y=y, out_of_range=flags)
-
     def apply_target(self, temp_c: float) -> float:
         return (float(temp_c) - self.target_lo) / (self.target_hi - self.target_lo)
 
@@ -291,30 +228,25 @@ class Scaler:
         out = scaled + self.target_lo
         return float(out) if out.ndim == 0 else out
 
-    def invert_feature(self, feature: Feature, x_norm: float) -> float:
-        lo, hi = self.feature_lo[feature.column], self.feature_hi[feature.column]
-        return float(x_norm) * (hi - lo) + lo
-
 
 def scaler_fit(
-    rows: Sequence[Mapping[Feature, float] | Sequence[float]] | np.ndarray | None,
+    rows: np.ndarray | None,
     targets: Sequence[float] | None = None,
     mode: str = "from_data",
-    target_range: tuple[float, float] = DEFAULT_TARGET_RANGE,
 ) -> Scaler:
     """Build a :class:`Scaler`.
 
     ``mode="from_data"`` takes per-column extremes from ``rows`` and target
     bounds from ``targets`` (both required; a constant column raises
     :class:`DegenerateColumn`).  ``mode="fixed"`` ignores the data and uses
-    :data:`FIXED_FEATURE_RANGES` with ``target_range``.
+    :data:`FIXED_FEATURE_RANGES` with :data:`DEFAULT_TARGET_RANGE`.
     """
     if mode == "fixed":
         return Scaler(
             feature_lo=tuple(FIXED_FEATURE_RANGES[f][0] for f in Feature),
             feature_hi=tuple(FIXED_FEATURE_RANGES[f][1] for f in Feature),
-            target_lo=float(target_range[0]),
-            target_hi=float(target_range[1]),
+            target_lo=DEFAULT_TARGET_RANGE[0],
+            target_hi=DEFAULT_TARGET_RANGE[1],
             mode="fixed",
         )
     if mode != "from_data":
@@ -323,12 +255,9 @@ def scaler_fit(
         raise DegenerateColumn("from_data mode needs at least one row")
     if targets is None or len(targets) == 0:
         raise DegenerateColumn("from_data mode needs target values")
-    if isinstance(rows, np.ndarray):
-        matrix = np.asarray(rows, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != len(Feature):
-            raise MissingFeature(f"expected (n, {len(Feature)}) matrix, got {matrix.shape}")
-    else:
-        matrix = np.stack([_as_raw_array(r) for r in rows])
+    matrix = np.asarray(rows, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[1] != len(Feature):
+        raise MissingFeature(f"expected (n, {len(Feature)}) matrix, got {matrix.shape}")
     lo = matrix.min(axis=0)
     hi = matrix.max(axis=0)
     for f in Feature:
@@ -345,17 +274,3 @@ def scaler_fit(
         target_hi=t_hi,
         mode="from_data",
     )
-
-
-def scale_apply(
-    scaler: Scaler,
-    raw: Mapping[Feature, float] | Sequence[float],
-    temp_c: float | None = None,
-) -> FeatureVector:
-    """Normalize one raw row with ``scaler``; see :meth:`Scaler.apply`."""
-    return scaler.apply(raw, temp_c)
-
-
-def scale_invert(scaler: Scaler, y_norm: float | np.ndarray):
-    """Map normalized predictions back to degrees Celsius."""
-    return scaler.invert_target(y_norm)

@@ -51,7 +51,6 @@ __all__ = [
     "SnapReport",
     "StepRecord",
     "kan_init",
-    "kan_forward",
     "kan_train",
     "kan_gradcheck",
     "kan_snap",
@@ -79,8 +78,7 @@ class KanNetwork:
     ``layout`` lists node counts input-first and must end in 1.  For a layer
     mapping P inputs to Q outputs, ``coefs[l]`` has shape (Q, P, n_basis)
     and ``bypass[l]`` shape (Q, P).  All layers share one basis spanning
-    [0, 1]; inputs outside the span are handled by the bypass extension and
-    reported by :meth:`out_of_range`.
+    [0, 1]; inputs outside the span are handled by the bypass extension.
     """
 
     layout: tuple[int, ...]
@@ -109,11 +107,6 @@ class KanNetwork:
     @property
     def n_inputs(self) -> int:
         return self.layout[0]
-
-    def out_of_range(self, x) -> np.ndarray:
-        """Mask of input entries outside the spline span [0, 1]."""
-        arr = model_rows(x, self.n_inputs)
-        return (arr < 0.0) | (arr > 1.0)
 
     def forward(self, x) -> np.ndarray:
         return _propagate(self, model_rows(x, self.n_inputs), start=0)
@@ -196,13 +189,6 @@ def _forward_full(net: KanNetwork, x: np.ndarray, bas0: np.ndarray | None = None
         caches.append({"a": a, "bas": bas, "edge_out": edge_out, "edge_slope": edge_slope})
         a = edge_out.sum(axis=2)               # (n, Q)
     return a[:, 0], caches
-
-
-def kan_forward(net: KanNetwork, x) -> float | np.ndarray:
-    """Evaluate the network; a single row gives a float."""
-    arr = np.asarray(x, dtype=float)
-    pred = net.forward(arr)
-    return float(pred[0]) if arr.ndim == 1 else pred
 
 
 def _loss_and_grads(net: KanNetwork, x: np.ndarray, y: np.ndarray, lam: float,

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantTruth
-
 __all__ = [
     "MetricSet",
     "QuantilePoint",
@@ -30,7 +28,7 @@ class MetricSet:
     """rmse, mae, and r2 for one prediction vector.
 
     Invariant: ``rmse >= mae >= 0``.  ``r2`` is ``None`` when the truth was
-    constant (use :meth:`require_r2` to turn that into an error).
+    constant.
     """
 
     rmse: float
@@ -40,11 +38,6 @@ class MetricSet:
     def __post_init__(self) -> None:
         if self.mae < 0.0 or self.rmse < self.mae:
             raise ValueError(f"need rmse >= mae >= 0, got rmse={self.rmse} mae={self.mae}")
-
-    def require_r2(self) -> float:
-        if self.r2 is None:
-            raise ConstantTruth("r2 undefined: observed values are constant")
-        return self.r2
 
 
 def _as_pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:

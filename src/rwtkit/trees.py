@@ -52,7 +52,6 @@ __all__ = [
     "tree_fit",
     "rf_fit",
     "gbm_fit",
-    "predict",
 ]
 
 #: (trees x rows) leaf lookups per block of a descent; bounds its index arrays.
@@ -182,10 +181,6 @@ class DecisionTree:
 
     def __len__(self) -> int:
         return len(self.feature)
-
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
 
     @property
     def depth(self) -> int:
@@ -607,14 +602,3 @@ def gbm_fit(x, y, params: BoostParams = BoostParams()) -> BoostedEnsemble:
         n_features=q,
         train_mse=tuple(trace),
     )
-
-
-def predict(model, x) -> np.ndarray:
-    """Predict with any fitted model from this module.
-
-    Accepts a :class:`FeatureVector`, a single row, or an (n, q) matrix and
-    always returns a 1-D array.
-    """
-    if not isinstance(model, (DecisionTree, Forest, BoostedEnsemble)):
-        raise TypeError(f"not a tree-family model: {type(model).__name__}")
-    return model.predict(x)

@@ -8,7 +8,6 @@ from rwtkit.equation_bank import (
     BANK_VERSION,
     SET_NAMES,
     BankEntry,
-    bank_eval,
     load_bank,
 )
 from rwtkit.errors import NotFound, SchemaMismatch
@@ -23,7 +22,7 @@ def bank():
 def test_twenty_entries_two_sets(bank):
     assert len(bank.entries) == 20
     for set_name in SET_NAMES:
-        counts = sorted(e.n_inputs for e in bank.entries_for(set_name))
+        counts = sorted(e.n_inputs for e in bank.entries if e.set_name == set_name)
         assert counts == list(range(1, 11))
 
 
@@ -46,19 +45,13 @@ def test_published_r2_values_are_sane(bank):
         assert float(entry.r2_text) == entry.r2
 
 
-def test_r2_curve_sorted_by_inputs(bank):
-    for set_name in SET_NAMES:
-        curve = bank.r2_curve(set_name)
-        assert [k for k, _ in curve] == list(range(1, 11))
-
-
 def test_get_and_not_found(bank):
     entry = bank.get("simple", 4)
     assert entry.n_inputs == 4
     with pytest.raises(NotFound):
         bank.get("simple", 11)
     with pytest.raises(NotFound):
-        bank.entries_for("fancy")
+        bank.get("fancy", 1)
 
 
 def test_spot_values_single_input(bank):
@@ -74,15 +67,6 @@ def test_spot_value_two_input_origin(bank):
     got = bank.get("simple", 2).evaluate({1: 0.0, 2: 0.0})
     assert got == pytest.approx(expected, abs=1e-15)
     assert got == pytest.approx(-0.01842, abs=5e-6)
-
-
-def test_bank_eval_agrees_with_entry(bank):
-    rng = np.random.default_rng(2)
-    x = rng.uniform(0.0, 1.0, size=(50, 10))
-    for entry in bank.entries:
-        direct = entry.evaluate(x)
-        via_helper = bank_eval(entry.set_name, entry.n_inputs, x)
-        assert np.array_equal(direct, via_helper)
 
 
 def test_no_poles_on_unit_cube_sample(bank):

@@ -262,6 +262,7 @@ CORRUPTIONS = {
     "profiles-emptied": ("profiles.jsonl", _emptied),
     "profiles-type-swapped": ("profiles.jsonl", _listed),
     "profiles-samples-not-a-list": ("profiles.jsonl", _edited("samples", value=3)),
+    "profiles-first-line-only": ("profiles.jsonl", lambda text, name: text.splitlines(True)[0]),
     "model-truncated": ("model_rf.json", _truncated),
     "model-emptied": ("model_rf.json", _emptied),
     "model-missing-trees": ("model_rf.json", _edited("state", "trees", drop=True)),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from rwtkit import dataset as dataset_module
 from rwtkit.dataset import (
     design_matrix,
-    kfold,
     parse_daily,
     parse_morphometry,
     parse_observations,
@@ -23,13 +22,12 @@ from rwtkit.dataset import (
 from rwtkit.equation_bank import load_bank
 from rwtkit.errors import (
     MissingFeature,
-    NonMonotoneDepths,
     NotFound,
     SchemaMismatch,
     ShortProfile,
     WindowGap,
 )
-from rwtkit.features import Feature
+from rwtkit.features import Feature, ObservationProfile
 from rwtkit.symbolic import parse_expression, to_text
 
 OBS_HEADER = "reservoir_id,date,site_id,depth_m,temp_c"
@@ -75,31 +73,31 @@ def test_depths_out_of_file_order_are_a_profile_violation():
     # Samples keep file order; a profile whose depths are not strictly
     # increasing is invalid rather than silently resorted.
     shuffled = [PROFILE_ROWS[2], PROFILE_ROWS[0], PROFILE_ROWS[3], PROFILE_ROWS[1]]
-    with pytest.raises(NonMonotoneDepths):
-        parse_observations(obs_csv(shuffled))
-    result = parse_observations(obs_csv(shuffled), on_invalid="collect")
+    result = parse_observations(obs_csv(shuffled))
     assert result.profile_set.profiles == ()
-    assert len(result.rejected) == 1
+    [(key, reason)] = result.rejected
+    assert key == ("res1", "2015-06-01", "s1")
+    assert reason.startswith("NonMonotoneDepths: ")
 
 
 def test_short_profile_raises_or_collects():
-    short = PROFILE_ROWS[:3]
+    # Building a short profile raises; parsing one collects the same error.
     with pytest.raises(ShortProfile):
-        parse_observations(obs_csv(short))
-    result = parse_observations(obs_csv(short), on_invalid="collect")
+        ObservationProfile("res1", datetime.date(2015, 6, 1), "s1",
+                           ((0.5, 21.0), (2.0, 19.5), (5.0, 14.0)))
+    result = parse_observations(obs_csv(PROFILE_ROWS[:3]))
     assert len(result.profile_set.profiles) == 0
-    assert len(result.rejected) == 1
-    assert result.rejected[0][0] == ("res1", "2015-06-01", "s1")
+    [(key, reason)] = result.rejected
+    assert key == ("res1", "2015-06-01", "s1")
+    assert reason.startswith("ShortProfile: ")
 
 
 def test_duplicate_depth_is_structural():
-    # A repeated depth row is file corruption, so it raises even in
-    # collect mode.
+    # A repeated depth row is file corruption, so it raises rather than
+    # being collected.
     dup = PROFILE_ROWS + ["res1,2015-06-01,s1,9.0,9.4"]
     with pytest.raises(SchemaMismatch):
         parse_observations(obs_csv(dup))
-    with pytest.raises(SchemaMismatch):
-        parse_observations(obs_csv(dup), on_invalid="collect")
 
 
 def test_collect_keeps_good_profiles():
@@ -108,7 +106,7 @@ def test_collect_keeps_good_profiles():
         "res2,2015-06-01,s1,2.0,20.0",
         "res2,2015-06-01,s1,5.0,15.0",  # only 3 samples: rejected
     ]
-    result = parse_observations(obs_csv(rows), on_invalid="collect")
+    result = parse_observations(obs_csv(rows))
     assert [p.reservoir_id for p in result.profile_set.profiles] == ["res1"]
     assert [key[0] for key, _ in result.rejected] == ["res2"]
 
@@ -324,17 +322,6 @@ def test_split_fuzz_invariants(n_profiles, ratio, seed):
     assert not set(plan.train) & set(plan.test)
     assert set(plan.train) | set(plan.test) == set(keys)
     assert plan.train and plan.test
-
-
-def test_kfold_partitions():
-    keys = [(f"r{i}", "2015-01-01", "s") for i in range(11)]
-    folds = kfold(keys, k=3, seed=7)
-    assert len(folds) == 3
-    union = [k for fold in folds for k in fold]
-    assert sorted(union) == sorted(keys)
-    sizes = sorted(len(f) for f in folds)
-    assert sizes[-1] - sizes[0] <= 1
-    assert folds == kfold(keys, k=3, seed=7)
 
 
 # --- synthetic generation ----------------------------------------------------

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rwtkit.errors import DegenerateColumn
+from rwtkit.errors import DegenerateColumn, MissingFeature
 from rwtkit.features import (
     DEFAULT_TARGET_RANGE,
     FIXED_FEATURE_RANGES,
     Feature,
     ObservationProfile,
-    scale_apply,
-    scale_invert,
     scaler_fit,
 )
 
@@ -36,12 +34,6 @@ def test_feature_numbering_and_order():
     for f in Feature:
         assert f.column == f.value - 1
         assert f.symbol == f"x{f.value}"
-        assert Feature.from_symbol(f.symbol) is f
-
-
-def test_from_symbol_rejects_unknown():
-    with pytest.raises(Exception):
-        Feature.from_symbol("x11")
 
 
 def test_fixed_ranges_cover_every_feature():
@@ -52,19 +44,17 @@ def test_fixed_ranges_cover_every_feature():
 
 
 def _random_in_range(rng):
-    raw = {}
-    for f in Feature:
-        lo, hi = FIXED_FEATURE_RANGES[f]
-        raw[f] = rng.uniform(lo, hi)
-    return raw
+    """One raw (1, 10) row inside the fixed calibration ranges."""
+    return np.array([[rng.uniform(*FIXED_FEATURE_RANGES[f]) for f in Feature]])
 
 
 def test_fixed_scaler_maps_bounds_to_unit_interval():
     scaler = scaler_fit(None, mode="fixed")
-    los = {f: FIXED_FEATURE_RANGES[f][0] for f in Feature}
-    his = {f: FIXED_FEATURE_RANGES[f][1] for f in Feature}
-    assert np.allclose(scale_apply(scaler, los).x, 0.0)
-    assert np.allclose(scale_apply(scaler, his).x, 1.0)
+    bounds = np.array([FIXED_FEATURE_RANGES[f] for f in Feature]).T
+    x_norm, oob = scaler.transform(bounds)
+    assert np.allclose(x_norm[0], 0.0)
+    assert np.allclose(x_norm[1], 1.0)
+    assert not oob.any()
     assert scaler.apply_target(0.0) == 0.0
     assert scaler.apply_target(40.0) == 1.0
     assert scaler.apply_target(20.0) == 0.5
@@ -75,42 +65,35 @@ def test_feature_round_trip_below_1e12(seed):
     rng = np.random.default_rng(seed)
     scaler = scaler_fit(None, mode="fixed")
     raw = _random_in_range(rng)
-    vec = scale_apply(scaler, raw)
-    assert not vec.out_of_range
-    for f in Feature:
-        back = scaler.invert_feature(f, vec.x[f.column])
-        scale = max(abs(raw[f]), 1.0)
-        assert abs(back - raw[f]) / scale < 1e-12
+    x_norm, oob = scaler.transform(raw)
+    assert not oob.any()
+    back = scaler.invert(x_norm)
+    assert np.all(np.abs(back - raw) / np.maximum(np.abs(raw), 1.0) < 1e-12)
 
 
 @given(temp=st.floats(min_value=0.0, max_value=40.0))
 def test_target_round_trip_below_1e12(temp):
     scaler = scaler_fit(None, mode="fixed")
-    back = scale_invert(scaler, scaler.apply_target(temp))
+    back = scaler.invert_target(scaler.apply_target(temp))
     assert abs(back - temp) < 1e-12 * max(temp, 1.0)
 
 
 def test_invert_target_is_vectorized():
     scaler = scaler_fit(None, mode="fixed")
     y_norm = np.array([0.0, 0.25, 0.5, 1.0])
-    assert np.allclose(scale_invert(scaler, y_norm), [0.0, 10.0, 20.0, 40.0])
+    assert np.allclose(scaler.invert_target(y_norm), [0.0, 10.0, 20.0, 40.0])
 
 
 def test_out_of_range_flagged_never_clipped():
     scaler = scaler_fit(None, mode="fixed")
     raw = _random_in_range(np.random.default_rng(0))
     lo, hi = FIXED_FEATURE_RANGES[Feature.air_temp]
-    raw[Feature.air_temp] = hi + (hi - lo)  # far above calibration
-    vec = scale_apply(scaler, raw)
-    assert Feature.air_temp in vec.out_of_range
-    assert vec.x[Feature.air_temp.column] == pytest.approx(2.0)  # not clipped to 1
-
-
-def test_sequence_and_mapping_inputs_agree():
-    scaler = scaler_fit(None, mode="fixed")
-    raw = _random_in_range(np.random.default_rng(1))
-    as_list = [raw[f] for f in Feature]
-    assert np.array_equal(scale_apply(scaler, raw).x, scale_apply(scaler, as_list).x)
+    col = Feature.air_temp.column
+    raw[0, col] = hi + (hi - lo)  # far above calibration
+    x_norm, oob = scaler.transform(raw)
+    assert oob[0].tolist() == [f is Feature.air_temp for f in Feature]
+    assert x_norm[0, col] == pytest.approx(2.0)  # not clipped to 1
+    assert scaler.invert(x_norm)[0, col] == pytest.approx(raw[0, col])
 
 
 def test_from_data_mode_uses_observed_extremes():
@@ -132,10 +115,7 @@ def test_from_data_round_trip():
     targets = rng.uniform(1.0, 25.0, size=30)
     scaler = scaler_fit(rows, targets, mode="from_data")
     x_norm, _ = scaler.transform(rows)
-    for f in Feature:
-        for i in range(len(rows)):
-            back = scaler.invert_feature(f, x_norm[i, f.column])
-            assert abs(back - rows[i, f.column]) < 1e-12
+    assert np.abs(scaler.invert(x_norm) - rows).max() < 1e-12
 
 
 def test_constant_column_raises():
@@ -149,6 +129,9 @@ def test_constant_column_raises():
 def test_from_data_requires_rows_and_targets():
     with pytest.raises(Exception):
         scaler_fit(None, None, mode="from_data")
+    for shape in [(3, 9), (10,), (2, 10, 1)]:
+        with pytest.raises(MissingFeature):
+            scaler_fit(np.arange(float(np.prod(shape))).reshape(shape), [1.0, 2.0, 3.0])
 
 
 def test_profile_requires_sorted_depths():

@@ -24,7 +24,6 @@ from rwtkit.kan import (
     _forward_full,
     _loss_and_grads,
     incremental_experiment,
-    kan_forward,
     kan_gradcheck,
     kan_init,
     kan_snap,
@@ -140,11 +139,10 @@ def test_two_layer_composition():
 def test_kan_forward_row_vs_batch():
     net = kan_init((3, 2, 1), seed=0)
     row = np.array([0.2, 0.5, 0.8])
-    single = kan_forward(net, row)
-    batch = kan_forward(net, row[np.newaxis, :])
-    assert isinstance(single, float)
-    assert batch.shape == (1,)
-    assert single == batch[0]
+    single = net.forward(row)
+    batch = net.forward(row[np.newaxis, :])
+    assert single.shape == batch.shape == (1,)
+    assert single[0] == batch[0]
 
 
 def test_predict_bit_identical_to_training_forward():
@@ -169,13 +167,6 @@ def test_predict_rejects_non_finite_rows(bad):
         net.predict(x)
     with pytest.raises(NonFiniteInput):
         net.forward(x[2])
-
-
-def test_out_of_range_mask():
-    net = kan_init((2, 2, 1), seed=0)
-    x = np.array([[0.5, 1.5], [-0.1, 0.9]])
-    mask = net.out_of_range(x)
-    assert mask.tolist() == [[False, True], [True, False]]
 
 
 # --- gradients ---------------------------------------------------------------

@@ -23,7 +23,6 @@ from rwtkit.trees import (
     ForestParams,
     TreeParams,
     gbm_fit,
-    predict,
     rf_fit,
     tree_fit,
 )
@@ -60,7 +59,7 @@ def _predict(model, x):
         return mlp_forward(model, x)
     if isinstance(model, KanNetwork):
         return model.forward(x)
-    return predict(model, x)
+    return model.predict(x)
 
 
 @pytest.mark.parametrize("kind", ["tree", "forest", "boosted", "mlp", "kan"])

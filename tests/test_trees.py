@@ -12,7 +12,6 @@ from rwtkit.trees import (
     ForestParams,
     TreeParams,
     gbm_fit,
-    predict,
     rf_fit,
     tree_fit,
 )
@@ -198,7 +197,6 @@ def test_constant_target_single_leaf():
     x = np.arange(10.0).reshape(-1, 1)
     tree = tree_fit(x, np.full(10, 3.3))
     assert len(tree) == 1
-    assert tree.n_leaves == 1
     assert np.all(tree.predict(x) == 3.3)
 
 
@@ -393,7 +391,7 @@ def test_predict_rejects_non_finite_rows(small_xy, kind, bad):
     with pytest.raises(NonFiniteInput):
         model.predict(rows)
     with pytest.raises(NonFiniteInput):
-        predict(model, rows[2])
+        model.predict(rows[2])
     assert np.isfinite(model.predict(x[:4])).all()
 
 
@@ -536,10 +534,10 @@ def test_non_finite_rows_rejected_by_stages_and_boosting_fit(small_xy, bad):
         gbm_fit(rows, y[:4], BoostParams(n_estimators=3, seed=0))
 
 
-# --- dispatcher --------------------------------------------------------------
+# --- one row or a matrix ------------------------------------------------------
 
 
-def test_predict_dispatcher(small_xy):
+def test_predict_takes_one_row_or_a_matrix(small_xy):
     x, y = small_xy
     models = [
         tree_fit(x, y, TreeParams(max_depth=4)),
@@ -547,8 +545,8 @@ def test_predict_dispatcher(small_xy):
         gbm_fit(x, y, BoostParams(n_estimators=3, seed=0)),
     ]
     for model in models:
-        full = predict(model, x)
+        full = model.predict(x)
         assert full.shape == (len(x),)
-        single = predict(model, x[0])
+        single = model.predict(x[0])
         assert single.shape == (1,)
         assert single[0] == full[0]
