@@ -719,6 +719,10 @@ def cmd_report(cfg: RunConfig) -> None:
     if shap_path.exists():
         with reading(shap_path):
             g = json.loads(shap_path.read_text())
+            if g["model"] not in MODEL_NAMES:
+                raise ValueError(f"model {g['model']!r} is not one of {MODEL_NAMES}")
+            if type(g["n_instances"]) is not int or g["n_instances"] < 0:
+                raise ValueError(f"n_instances {g['n_instances']!r} is not a count")
             lines.append(f"## Attribution ({g['model']}, {g['n_instances']} instances)")
             lines.append("")
             ranked = sorted(g["importance"].items(), key=lambda kv: kv[1]["rank"])
@@ -734,6 +738,10 @@ def cmd_report(cfg: RunConfig) -> None:
             lines.append("## Accuracy vs number of inputs")
             lines.append("")
             rows = [row.split(",") for row in curve_path.read_text().splitlines()[1:]]
+            for k, mean, n_seeds in rows:
+                if int(k) < 1 or not math.isfinite(float(mean)) or int(n_seeds) < 1:
+                    raise ValueError(f"row {k},{mean},{n_seeds} is not a positive input "
+                                     "count, a finite r2 and a positive seed count")
             lines.extend(_md_table(["inputs", "mean test r2"],
                                    [(k, _disp(float(mean))) for k, mean, _ in rows]))
             lines.append("")

@@ -181,6 +181,8 @@ class Scaler:
     mode: str
 
     def __post_init__(self) -> None:
+        if self.mode not in ("from_data", "fixed"):
+            raise ValueError(f"unknown scaler mode {self.mode!r}")
         if len(self.feature_lo) != len(Feature) or len(self.feature_hi) != len(Feature):
             raise ValueError("scaler bounds must cover all ten features")
         for f in Feature:

@@ -13,6 +13,7 @@ masks, which makes every fit reproducible from its two seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -75,12 +76,24 @@ class MlpModel:
         return batch[:, :, np.newaxis] * self.weights[0][np.newaxis, :, :]
 
     def head(self, s: np.ndarray) -> np.ndarray:
-        """Inference prediction from summed first-layer terms (n, width)."""
-        z = s + self.biases[0]
-        for w, b in zip(self.weights[1:], self.biases[1:]):
+        """Inference prediction from summed first-layer terms (n, width).
+
+        Each bias is added as one contiguous run of its tile for n rows,
+        which gives the bits of a broadcast add; ``s`` is left unchanged.
+        """
+        tiles = self._bias_tiles.get(len(s))
+        if tiles is None:
+            tiles = self._bias_tiles[len(s)] = tuple(np.tile(b, (len(s), 1)) for b in self.biases)
+        z = s + tiles[0]
+        for w, b in zip(self.weights[1:], tiles[1:]):
             z = np.maximum(z, 0.0, out=z) @ w
             z += b
         return z[:, 0]
+
+    @cached_property
+    def _bias_tiles(self) -> dict:
+        """Row count -> every bias tiled to that many rows; built on first use, never serialized."""
+        return {}
 
 
 def mlp_init(layout, seed: int = 0, dropout_rate: float = 0.1) -> MlpModel:

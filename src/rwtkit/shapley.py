@@ -25,7 +25,10 @@ is exact:
   rows and only the later layers see the 2^q x M batch.  That batch runs
   in fixed-size blocks of coalitions, so that a block's widest activation
   holds at most 2^14 values (128 KiB) whatever q is; only a background so
-  large that 4 coalitions exceed it gets blocks of 4.
+  large that 4 coalitions exceed it gets blocks of 4.  A block adds its
+  constants as contiguous runs: the background sums, and the MLP head's
+  biases, are tiled once to a block's length, which gives the bits of a
+  broadcast add without its per-row loop.
 * Any other model or callable enumerates the 2^q coalitions, pushing every
   hybrid row through its prediction function.  Passing ``model.predict``
   instead of the model takes this path, which makes it the oracle for the
@@ -42,8 +45,10 @@ is one; see :mod:`rwtkit.parallel`).  Each worker builds its own per-model
 tables, and the explanations are the same whatever the number of workers.
 
 Attribution is capped at 15 features; every path indexes the 2^q
-coalitions, which stop being a desk-scale table beyond that.  Instances and
-background rows must be finite.
+coalitions, which stop being a desk-scale table beyond that.  What depends
+on q alone (the coalition bits and sizes, the Shapley weights and the
+index sets of each feature's marginal contributions) is built once per q
+and kept read-only.  Instances and background rows must be finite.
 
 The heatmap orders its instances by average-linkage clustering of their
 attribution vectors, computed here with the nearest-neighbour chain
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -93,34 +99,41 @@ _CHUNK_ROWS = 1 << 17
 #: batch (rows times layer width): 128 KiB, well inside a core's L2 cache.
 _BLOCK_VALUES = 1 << 14
 
-_WEIGHT_CACHE: dict[int, np.ndarray] = {}
+class _Coalitions:
+    """The read-only arrays that depend only on the feature count q.
+
+    ``bits[mask, j]`` is 1.0 when column j belongs to coalition ``mask`` and
+    ``popcount[mask]`` is the coalition's size.  Row i of ``without`` lists
+    the coalitions that exclude feature i in ascending order, ``with_`` the
+    same coalitions with i added, and ``weights`` their Shapley weights
+    |S|! (q-|S|-1)! / q!.  ``pair_weights[a, b]`` is (a-1)! b! / (a+b)!
+    for a >= 1 and a + b <= q, else 0.  Every weight is an exact rational
+    converted to float once.
+    """
+
+    def __init__(self, q: int):
+        masks = np.arange(1 << q)
+        self.bits = ((masks[:, np.newaxis] >> np.arange(q)) & 1).astype(float)
+        self.popcount = self.bits.sum(axis=1).astype(np.intp)
+        shapley = np.array([
+            float(Fraction(factorial(s) * factorial(q - s - 1), factorial(q)))
+            for s in range(q)
+        ])
+        self.without = np.stack([masks[(masks >> i) & 1 == 0] for i in range(q)])
+        self.with_ = self.without | (1 << np.arange(q))[:, np.newaxis]
+        self.weights = shapley[self.popcount[self.without]]
+        self.pair_weights = np.zeros((q + 1, q + 1))
+        for a in range(1, q + 1):
+            for b in range(q + 1 - a):
+                self.pair_weights[a, b] = float(
+                    Fraction(factorial(a - 1) * factorial(b), factorial(a + b)))
+        for array in vars(self).values():
+            array.flags.writeable = False
 
 
-def _shapley_weights(q: int) -> np.ndarray:
-    """w[s] = s! (q-s-1)! / q! for s = 0..q-1, via exact rationals."""
-    if q not in _WEIGHT_CACHE:
-        _WEIGHT_CACHE[q] = np.array(
-            [
-                float(Fraction(factorial(s) * factorial(q - s - 1), factorial(q)))
-                for s in range(q)
-            ]
-        )
-    return _WEIGHT_CACHE[q]
-
-
-def _pair_weights(q: int) -> np.ndarray:
-    """w[a, b] = (a-1)! b! / (a+b)! for a >= 1 and a + b <= q, else 0."""
-    w = np.zeros((q + 1, q + 1))
-    for a in range(1, q + 1):
-        for b in range(q + 1 - a):
-            w[a, b] = float(Fraction(factorial(a - 1) * factorial(b), factorial(a + b)))
-    return w
-
-
-def _coalition_bits(q: int) -> np.ndarray:
-    """bits[mask, j] is 1.0 when column j belongs to coalition ``mask``."""
-    masks = np.arange(1 << q)
-    return ((masks[:, np.newaxis] >> np.arange(q)) & 1).astype(float)
+@cache
+def _coalitions(q: int) -> _Coalitions:
+    return _Coalitions(q)
 
 
 def _predict_fn(model):
@@ -270,26 +283,21 @@ def _factored_table(model, tables, x: np.ndarray, bits: np.ndarray) -> np.ndarra
     fit = _BLOCK_VALUES // (m * max(model.layout[1:]))
     chunk = min(len(bits), 1 << max(2, fit.bit_length() - 1))
     buffer = np.empty((chunk, m * h))
+    # The background sums repeated once per mask of a block, so that they
+    # are added as one contiguous run rather than broadcast row by row.
+    pre_block = np.tile(pre.ravel(), chunk).reshape(chunk, m * h)
     for start in range(0, len(bits), chunk):
         sel = slice(start, start + chunk)
-        hidden = np.matmul(bits[sel], delta, out=buffer).reshape(-1, m, h)
-        hidden += pre
-        values[sel] = model.head(hidden.reshape(-1, h)).reshape(-1, m).mean(axis=1)
+        hidden = np.matmul(bits[sel], delta, out=buffer)
+        hidden += pre_block
+        # The same sum and division as ``mean(axis=1)``, without its wrapper.
+        values[sel] = np.add.reduce(model.head(hidden.reshape(-1, h)).reshape(-1, m), axis=1) / m
     return values
 
 
-def _phi_from_table(values: np.ndarray, bits: np.ndarray) -> np.ndarray:
+def _phi_from_table(values: np.ndarray, c: _Coalitions) -> np.ndarray:
     """Shapley-weighted marginal contributions over a full coalition table."""
-    q = bits.shape[1]
-    masks = np.arange(1 << q)
-    sizes = bits.sum(axis=1).astype(np.intp)
-    weights = _shapley_weights(q)
-    phi = np.empty(q)
-    for i in range(q):
-        without = masks[(masks >> i) & 1 == 0]
-        gain = values[without | (1 << i)] - values[without]
-        phi[i] = float(np.sum(weights[sizes[without]] * gain))
-    return phi
+    return np.sum(c.weights * (values[c.with_] - values[c.without]), axis=1)
 
 
 def _box_bits(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -312,21 +320,20 @@ def _leaf_tables(model, background: BackgroundSet):
     return scale * value, lo, hi, _box_bits(lo, hi, background.rows), base
 
 
-def _leaf_phi(tables, x: np.ndarray, bits: np.ndarray) -> np.ndarray:
+def _leaf_phi(tables, x: np.ndarray, c: _Coalitions) -> np.ndarray:
     """Attributions from (leaf, background row) pairs; see the module docstring."""
     value, lo, hi, bg_in, _ = tables
-    q = bits.shape[1]
+    q = c.bits.shape[1]
     x_in = np.broadcast_to(_box_bits(lo, hi, x[np.newaxis]), bg_in.shape)
     keep = (x_in | bg_in) == (1 << q) - 1
     xk, bk = x_in[keep], bg_in[keep]
     v = np.broadcast_to(value[:, np.newaxis], bg_in.shape)[keep]
     only_x, only_b = xk & ~bk, bk & ~xk
-    popcount = bits.sum(axis=1).astype(np.intp)
-    na, nb = popcount[only_x], popcount[only_b]
-    w = _pair_weights(q)
-    gain = np.bincount(only_x, weights=v * w[na, nb], minlength=len(bits))
-    loss = np.bincount(only_b, weights=v * w[nb, na], minlength=len(bits))
-    return bits.T @ (gain - loss) / bg_in.shape[1]
+    na, nb = c.popcount[only_x], c.popcount[only_b]
+    w = c.pair_weights
+    gain = np.bincount(only_x, weights=v * w[na, nb], minlength=len(c.bits))
+    loss = np.bincount(only_b, weights=v * w[nb, na], minlength=len(c.bits))
+    return c.bits.T @ (gain - loss) / bg_in.shape[1]
 
 
 def shap_exact(model, x, background: BackgroundSet, instance_key: str = "") -> ShapExplanation:
@@ -344,19 +351,19 @@ def shap_exact(model, x, background: BackgroundSet, instance_key: str = "") -> S
             f"exact enumeration supports up to {MAX_EXACT_FEATURES} features, got {q}"
         )
     (row,) = model_rows(x, q)
-    bits = _coalition_bits(q)
+    c = _coalitions(q)
     if isinstance(model, (DecisionTree, Forest, BoostedEnsemble)):
         tables = _prepared(model, background, _leaf_tables)
-        base, phi = tables[-1], _leaf_phi(tables, row, bits)
+        base, phi = tables[-1], _leaf_phi(tables, row, c)
         fx = float(model.predict(row)[0])
     elif isinstance(model, (MlpModel, KanNetwork)):
         tables = _prepared(model, background, _first_layer_tables)
-        values = _factored_table(model, tables, row, bits)
-        base, phi = float(values[0]), _phi_from_table(values, bits)
+        values = _factored_table(model, tables, row, c.bits)
+        base, phi = float(values[0]), _phi_from_table(values, c)
         fx = float(model.predict(row)[0])
     else:
         values = _coalition_table(_predict_fn(model), row, background)
-        base, phi = float(values[0]), _phi_from_table(values, bits)
+        base, phi = float(values[0]), _phi_from_table(values, c)
         fx = float(values[-1])
     return ShapExplanation(
         base=base,

@@ -258,6 +258,7 @@ CORRUPTIONS = {
     "scaler-emptied": ("scaler.json", _emptied),
     "scaler-type-swapped": ("scaler.json", _listed),
     "scaler-bound-not-a-list": ("scaler.json", _edited("feature_lo", value=3)),
+    "scaler-mode-unknown": ("scaler.json", _edited("mode", value="x")),
     "profiles-truncated": ("profiles.jsonl", _truncated),
     "profiles-emptied": ("profiles.jsonl", _emptied),
     "profiles-type-swapped": ("profiles.jsonl", _listed),
@@ -274,7 +275,10 @@ CORRUPTIONS = {
     "metrics-truncated": ("metrics.json", _truncated),
     "metrics-emptied": ("metrics.json", _emptied),
     "shap-global-truncated": ("shap_global.json", _truncated),
+    "shap-global-model-unknown": ("shap_global.json", _edited("model", value="x")),
+    "shap-global-n-instances-negative": ("shap_global.json", _edited("n_instances", value=-1)),
     "r2-curve-short-row": ("r2_curve.csv", lambda text, name: text + "7,0.5\n"),
+    "r2-curve-nan-row": ("r2_curve.csv", lambda text, name: text + "7,nan,1\n"),
 }
 
 #: Files that only ``report`` reads; every other case runs ``evaluate``.
@@ -356,19 +360,31 @@ EXPLAIN_SHA256 = {
     ("rf", "shap_summary.csv"): "ac20adec15e9b1c914ec277ad58ab00ae04ee95679e3bcd5fc4b4270206ceb9d",
 }
 
+#: The same for the published (10, 48, 48, 1) MLP, whose factored head runs
+#: in blocks of 8 coalitions on this background.
+PUBLISHED_MLP_EXPLAIN_SHA256 = {
+    "shap_global.json": "ff1c109c9c2f3572b98d6d01d0dea21e66797f5d0ef944bb202f4c479fc75465",
+    "shap_heatmap.csv": "fd1acbc6ad7aad4fd701f7ef2ae0765f97bd5183e3eac7a132a649066e184271",
+    "shap_summary.csv": "a0826344feb8c7b9760b6253c9d93b5f1134e86b7b81a2913f63497be2e84fb1",
+}
+
 
 def test_explain_outputs_match_pinned_bytes(tmp_path):
     base = ["--out", str(tmp_path / "r")]
     assert main(["ingest", "--synthetic", "--synth-profiles", "20", "--synth-samples", "5",
                  "--synth-seed", "3", "--split-seed", "3"] + base) == 0
     for model, preset in (("rf", "published"), ("gbm", "published"), ("mlp", "quick"),
-                          ("kan", "quick")):
+                          ("kan", "quick"), ("mlp", "published")):
         assert main(["train", "--model", model, "--preset", preset] + base) == 0
         assert main(["explain", "--model", model, "--shap-instances", "6",
                      "--shap-background", "30"] + base) == 0
         for name in ("shap_summary.csv", "shap_heatmap.csv", "shap_global.json"):
             data = (tmp_path / "r" / name).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == EXPLAIN_SHA256[(model, name)], (model, name)
+            if (model, preset) == ("mlp", "published"):
+                want = PUBLISHED_MLP_EXPLAIN_SHA256[name]
+            else:
+                want = EXPLAIN_SHA256[(model, name)]
+            assert hashlib.sha256(data).hexdigest() == want, (model, preset, name)
 
 
 def test_explain_on_a_short_test_split_warns(tmp_path, capsys):

@@ -275,12 +275,16 @@ def _max_edge_abs_mean_on_data(net, x):
 
 def test_penalty_dominates_when_lambda_large():
     # With the sparsity weight far above the fit weight, edge outputs at the
-    # data are driven toward zero even though the target has spread.
+    # data are driven toward zero even though the target has spread.  At a
+    # learning rate of 0.02 the loss swings between 0.27 and 1.08 late in
+    # training, and a 1-ulp change to the initial coefficients moves the
+    # value below from 0.019 to 0.03-0.047; at 0.005 it reads 0.0071 under
+    # every such change, well inside the bound.
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, size=(200, 2))
     y = 0.5 * x[:, 0] - 0.25  # target spread ~ 0.5/sqrt(12) per unit coef
     net = kan_init((2, 2, 1), seed=0)
-    suppressed, _ = kan_train(net, x, y, steps=800, learning_rate=0.02, lam=5.0)
+    suppressed, _ = kan_train(net, x, y, steps=800, learning_rate=0.005, lam=5.0)
     assert _max_edge_abs_mean_on_data(suppressed, x) < 0.05
     # Contrast: a near-unpenalized fit keeps edges large enough to carry y.
     free, _ = kan_train(net, x, y, steps=800, learning_rate=0.5, lam=1e-3)

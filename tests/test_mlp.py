@@ -1,5 +1,7 @@
 """The perceptron: forward oracle, gradient checks, and training behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,32 @@ def test_forward_batch_matches_rows():
     batch = mlp_forward(model, x)
     rows = np.concatenate([mlp_forward(model, row) for row in x])
     assert np.allclose(batch, rows, atol=1e-12)
+
+
+def _broadcast_head(model, s):
+    """The head as first written: each bias broadcast over the rows."""
+    z = s + model.biases[0]
+    for w, b in zip(model.weights[1:], model.biases[1:]):
+        z = np.maximum(z, 0.0, out=z) @ w
+        z += b
+    return z[:, 0]
+
+
+@pytest.mark.parametrize("layout", [(4, 1), (4, 6, 1), (4, 6, 5, 1)])
+def test_head_matches_broadcast_bias_bits(layout):
+    # The head adds tiled biases as contiguous runs; the bits must be those
+    # of the broadcast adds, for cached and new row counts alike, and the
+    # caller's array must not change.
+    rng = np.random.default_rng(len(layout))
+    model = mlp_init(layout, seed=1)
+    model = replace(model, biases=tuple(rng.normal(size=b.shape) for b in model.biases))
+    for n in (1, 7, 256, 7, 33, 1):
+        s = rng.normal(size=(n, layout[1]))
+        before = s.copy()
+        got = model.head(s)
+        assert got.shape == (n,)
+        assert got.tobytes() == _broadcast_head(model, before).tobytes()
+        assert s.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

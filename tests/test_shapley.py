@@ -392,13 +392,34 @@ def test_factored_table_bytes_do_not_depend_on_block_size(monkeypatch, layout):
         model = replace(model, biases=tuple(rng.normal(size=b.shape) for b in model.biases))
     background = BackgroundSet(rng.uniform(-0.3, 1.3, size=(9, 6)))
     tables = shapley._first_layer_tables(model, background)
-    bits = shapley._coalition_bits(6)
+    bits = shapley._coalitions(6).bits
     for row in rng.uniform(-0.5, 1.5, size=(3, 6)):
         got = set()
         for block in (1, 600, 1 << 30):
             monkeypatch.setattr(shapley, "_BLOCK_VALUES", block)
             got.add(shapley._factored_table(model, tables, row, bits).tobytes())
         assert len(got) == 1
+
+
+@pytest.mark.parametrize("q", [1, 3, 10, 15])
+def test_phi_from_table_matches_per_feature_sums_bitwise(q):
+    # The per-q index sets and weights are built once and every feature's
+    # sum runs in one reduction; the bits must be those of one sum per
+    # feature over its own index set.
+    c = shapley._coalitions(q)
+    masks = np.arange(1 << q)
+    weights = np.array([math.factorial(s) * math.factorial(q - s - 1) / math.factorial(q)
+                        for s in range(q)])
+    assert c.weights.tobytes() == weights[c.popcount[c.without]].tobytes()
+    for seed in range(3):
+        values = np.random.default_rng(seed).normal(scale=10.0 ** seed, size=1 << q)
+        want = np.empty(q)
+        for i in range(q):
+            without = masks[(masks >> i) & 1 == 0]
+            gain = values[without | (1 << i)] - values[without]
+            want[i] = np.sum(c.weights[i] * gain)
+        assert shapley._phi_from_table(values, c).tobytes() == want.tobytes()
+    assert not c.bits.flags.writeable and not c.with_.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
