@@ -33,7 +33,6 @@ import scipy
 
 from . import __version__
 from .dataset import (
-    DesignMatrix,
     ProfileSet,
     SplitPlan,
     attach_covariates,
@@ -52,7 +51,6 @@ from .metrics import metrics, per_group_metrics, quantile_compare
 from .mlp import mlp_init, mlp_train
 from .serialize import from_state, load_model, reading, save_model, to_state
 from .shapley import BackgroundSet, export_heatmap, export_summary, shap_batch, shap_global
-from .symbolic import eval_expression
 from .trees import BoostParams, ForestParams, TreeParams, gbm_fit, rf_fit, tree_fit
 
 __all__ = ["main", "RunConfig", "load_run_config"]
@@ -342,17 +340,25 @@ def _parse_split(text: str) -> SplitPlan:
     )
 
 
-def _normalized_split(out_dir: Path):
-    """(train x/y, test x/y, scaler, test matrix) in normalized space."""
+def _profiles_and_split(out_dir: Path) -> tuple[ProfileSet, SplitPlan]:
+    """The ingested profiles and split plan, checked to agree.
+
+    A split plan has two non-empty sides, so with every key present
+    neither side of the design matrix comes out empty.
+    """
     profile_set = _read_ingested(out_dir, "profiles.jsonl", _parse_profiles)
-    scaler = _read_ingested(out_dir, "scaler.json", lambda t: from_state(Scaler, json.loads(t)))
     plan = _read_ingested(out_dir, "split.json", _parse_split)
-    # A split plan has two non-empty sides, so with every key present
-    # neither side of the design matrix comes out empty.
     missing = sorted(set(plan.train + plan.test) - set(profile_set.keys()))
     if missing:
         raise SchemaMismatch(f"{out_dir / 'split.json'} names {len(missing)} profiles absent "
                              f"from {out_dir / 'profiles.jsonl'}, first {list(missing[0])}")
+    return profile_set, plan
+
+
+def _normalized_split(out_dir: Path):
+    """(train x/y, test x/y, scaler, test matrix) in normalized space."""
+    profile_set, plan = _profiles_and_split(out_dir)
+    scaler = _read_ingested(out_dir, "scaler.json", lambda t: from_state(Scaler, json.loads(t)))
     dm = design_matrix(profile_set)
     train = dm.subset(plan.train)
     test = dm.subset(plan.test)
@@ -548,7 +554,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
         )
 
     qq = ["probability,observed_c,predicted_c"]
-    for point in quantile_compare(true_c, pred_primary, n_quantiles=101):
+    for point in quantile_compare(true_c, pred_primary):
         qq.append(f"{point.probability!r},{point.q_observed!r},{point.q_predicted!r}")
 
     _emit(cfg, "evaluate", cfg.split_seed, {
@@ -686,8 +692,12 @@ def cmd_report(cfg: RunConfig) -> None:
     if notes_path.exists():
         with reading(notes_path):
             notes = json.loads(notes_path.read_text())
-            profile_set = _read_ingested(out_dir, "profiles.jsonl", _parse_profiles)
-            plan = _read_ingested(out_dir, "split.json", _parse_split)
+            if notes["source"] not in ("synthetic", "files"):
+                raise ValueError(f"source {notes['source']!r} is not synthetic or files")
+            if "truth" in notes and not all(isinstance(notes[k], str)
+                                            for k in ("truth", "noise_sigma")):
+                raise ValueError("truth and noise_sigma must be strings")
+            profile_set, plan = _profiles_and_split(out_dir)
             lines.append("## Dataset")
             lines.append("")
             lines.append(f"- source: {notes['source']}")

@@ -41,7 +41,6 @@ from .features import (
     Scaler,
     scaler_fit,
 )
-from .symbolic import Expr
 
 __all__ = [
     "ProfileSet",
@@ -73,13 +72,15 @@ DAILY_HEADER = [
 ]
 MORPHOMETRY_HEADER = ["reservoir_id", "surface_area_m2", "max_depth_m"]
 
+#: Days in the antecedent window of the rolling covariates, the date included.
+WINDOW_DAYS = 7
+
 
 @dataclass(frozen=True)
 class ProfileSet:
     """An immutable collection of profiles with unique keys, sorted by key."""
 
     profiles: tuple[ObservationProfile, ...]
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         keys = [p.key for p in self.profiles]
@@ -189,10 +190,14 @@ def _parse_date(text: str, lineno: int) -> datetime.date:
 
 
 def _parse_float(text: str, column: str, lineno: int) -> float:
+    """A finite number; ``nan`` and ``inf`` are as bad as any other non-number."""
     try:
-        return float(text)
-    except ValueError as exc:
-        raise SchemaMismatch(f"line {lineno}: bad {column} value {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SchemaMismatch(f"line {lineno}: bad {column} value {text!r}")
+    return value
 
 
 def parse_observations(source) -> ParseResult:
@@ -236,7 +241,7 @@ def parse_observations(source) -> ParseResult:
         except Exception as exc:
             rejected.append((key, f"{type(exc).__name__}: {exc}"))
     return ParseResult(
-        profile_set=ProfileSet(tuple(profiles), provenance="observations csv"),
+        profile_set=ProfileSet(tuple(profiles)),
         rejected=tuple(rejected),
     )
 
@@ -283,21 +288,15 @@ def rolling_features(
     morphometry: Morphometry,
     reservoir_id: str,
     date: datetime.date,
-    window: int = 7,
-    include_current: bool = True,
 ) -> dict[Feature, float]:
     """Raw covariates for one reservoir-day (everything except depth).
 
-    The rolling window covers ``window`` consecutive days ending on ``date``
-    when ``include_current`` is true (the default), or ending the day before
-    otherwise.  Air temperature and wind are averaged over the window,
+    The rolling window is the :data:`WINDOW_DAYS` consecutive days ending on
+    ``date``.  Air temperature and wind are averaged over the window,
     precipitation is summed; same-day values are read directly.  A missing
     day anywhere in the window raises :class:`WindowGap`.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    end = date if include_current else date - datetime.timedelta(days=1)
-    days = [end - datetime.timedelta(days=i) for i in range(window)]
+    days = [date - datetime.timedelta(days=i) for i in range(WINDOW_DAYS)]
     window_records = [daily.get(reservoir_id, d) for d in days]
     today = daily.get(reservoir_id, date)
     return {
@@ -317,15 +316,11 @@ def attach_covariates(
     profile_set: ProfileSet,
     daily: DailySeries,
     morphometry: Morphometry,
-    window: int = 7,
-    include_current: bool = True,
 ) -> ProfileSet:
     """Return a new set whose profiles carry their rolling covariates."""
     enriched = []
     for p in profile_set.profiles:
-        cov = rolling_features(
-            daily, morphometry, p.reservoir_id, p.date, window, include_current
-        )
+        cov = rolling_features(daily, morphometry, p.reservoir_id, p.date)
         enriched.append(
             ObservationProfile(
                 reservoir_id=p.reservoir_id,
@@ -335,7 +330,7 @@ def attach_covariates(
                 covariates=cov,
             )
         )
-    return ProfileSet(tuple(enriched), provenance=profile_set.provenance)
+    return ProfileSet(tuple(enriched))
 
 
 @dataclass(frozen=True)
@@ -482,13 +477,10 @@ def split_profiles(
 
 @dataclass(frozen=True)
 class SyntheticData:
-    """A generated profile set plus the exact generating truth."""
+    """A generated profile set plus the text of its generating truth."""
 
     profile_set: ProfileSet
-    truth: Expr
     truth_text: str
-    noise_sigma: float
-    seed: int
     scaler: Scaler = field(repr=False)
 
 
@@ -551,10 +543,7 @@ def synth_generate(
             )
         )
     return SyntheticData(
-        profile_set=ProfileSet(tuple(profiles), provenance=f"synthetic seed={seed}"),
-        truth=entry.expression,
+        profile_set=ProfileSet(tuple(profiles)),
         truth_text=entry.expression_text,
-        noise_sigma=noise_sigma,
-        seed=seed,
         scaler=scaler,
     )

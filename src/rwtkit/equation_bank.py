@@ -46,9 +46,9 @@ SET_NAMES = ("simple", "complex")
 class BankEntry:
     """One published equation.
 
-    ``r2_text`` is the published test R-squared exactly as printed;
-    ``r2`` is its float value.  ``expression_text`` round-trips through the
-    parser and printer byte for byte.
+    ``r2_text`` is the published test R-squared exactly as printed.
+    ``expression_text`` round-trips through the parser and printer byte for
+    byte.
     """
 
     set_name: str
@@ -69,10 +69,6 @@ class BankEntry:
                 f"{self.set_name}/{self.n_inputs} uses variables {used}, "
                 f"expected exactly x1..x{self.n_inputs}"
             )
-
-    @property
-    def r2(self) -> float:
-        return float(self.r2_text)
 
     def evaluate(self, x):
         """Evaluate at ``x`` (row, matrix, or index mapping)."""

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     DegenerateColumn,
     DimensionMismatch,
+    EmptyData,
     MissingFeature,
     NonFiniteInput,
     NonMonotoneDepths,
@@ -65,11 +66,6 @@ class Feature(enum.IntEnum):
     inflow_lake = 8
     prcp_cum7 = 9
     prcp = 10
-
-    @property
-    def symbol(self) -> str:
-        """The ``xN`` symbol used in symbolic equations."""
-        return f"x{self.value}"
 
     @property
     def column(self) -> int:
@@ -146,10 +142,6 @@ class ObservationProfile:
     def key(self) -> ProfileKey:
         return (self.reservoir_id, self.date.isoformat(), self.site_id)
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples)
-
 
 def model_rows(x, width: int) -> np.ndarray:
     """Model input (one row or a matrix) as finite (n, width) rows; every
@@ -162,6 +154,22 @@ def model_rows(x, width: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("model inputs must be finite")
     return arr
+
+
+def training_rows(x, y, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Training data as finite (n, width) rows and n finite targets, n >= 1;
+    every fitter checks its data here.  ``width`` defaults to the rows' own."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 2:
+        raise DimensionMismatch(f"training rows must be 2-D, got ndim={arr.ndim}")
+    if len(arr) == 0:
+        raise EmptyData("cannot fit on an empty dataset")
+    targets = np.asarray(y, dtype=float).ravel()
+    if len(targets) != len(arr):
+        raise DimensionMismatch(f"{len(arr)} rows but {len(targets)} targets")
+    if not np.all(np.isfinite(targets)):
+        raise NonFiniteInput("training targets must be finite")
+    return model_rows(arr, arr.shape[1] if width is None else width), targets
 
 
 @dataclass(frozen=True)

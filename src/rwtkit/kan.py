@@ -27,9 +27,9 @@ import numpy as np
 
 from . import parallel
 from .bspline import CubicSplineBasis
-from .errors import Diverged, DimensionMismatch, InvalidLayout, InvalidParam, SnapFailure
-from .features import model_rows
-from .metrics import metrics
+from .errors import Diverged, InvalidLayout, InvalidParam, SnapFailure
+from .features import model_rows, training_rows
+from .metrics import gradient_gap, metrics
 from .symbolic import (
     Call,
     Div,
@@ -70,6 +70,12 @@ _RANGE_GUARD = 1e-3
 _SWEEP_STEPS = 25
 _SWEEP_ZOOMS = 4
 
+#: An edge whose best candidate fits with a lower R-squared is reported failed.
+_MIN_EDGE_R2 = 0.9
+
+#: Points at which each edge function is sampled for snapping.
+_SNAP_SAMPLES = 256
+
 
 @dataclass(frozen=True)
 class KanNetwork:
@@ -99,10 +105,6 @@ class KanNetwork:
     @property
     def basis(self) -> CubicSplineBasis:
         return CubicSplineBasis(self.grid_size)
-
-    @property
-    def n_params(self) -> int:
-        return sum(c.size + b.size for c, b in zip(self.coefs, self.bypass))
 
     @property
     def n_inputs(self) -> int:
@@ -140,8 +142,6 @@ def kan_init(
     stream so symmetric edges can differentiate.
     """
     layout = tuple(int(v) for v in layout)
-    if len(layout) < 2:
-        raise InvalidLayout(f"layout must list >= 2 widths, got {layout}")
     basis = CubicSplineBasis(grid_size)  # validates grid_size
     rng = np.random.default_rng(seed)
     coefs = []
@@ -228,20 +228,14 @@ def kan_train(
     steps: int = 2000,
     learning_rate: float = 0.5,
     lam: float = 1e-3,
-    seed: int = 0,
 ) -> tuple[KanNetwork, tuple[float, ...]]:
     """Full-batch gradient descent; returns (new network, loss per step).
 
-    ``seed`` keeps the signature uniform with the stochastic trainers; the
-    loop itself draws no randomness, so it does not affect the result.  A
-    non-finite loss raises :class:`Diverged`.  The inputs never change, so
-    the first layer's basis is evaluated once for all steps.
+    The loop draws no randomness.  A non-finite loss raises
+    :class:`Diverged`.  The inputs never change, so the first layer's basis
+    is evaluated once for all steps.
     """
-    del seed
-    x = model_rows(x, net.n_inputs)
-    y = np.asarray(y, dtype=float).ravel()
-    if len(x) != len(y):
-        raise DimensionMismatch(f"{len(x)} rows but {len(y)} targets")
+    x, y = training_rows(x, y, net.n_inputs)
     if steps < 1 or learning_rate <= 0.0 or lam < 0.0:
         raise InvalidParam("need steps >= 1, learning_rate > 0, lam >= 0")
     coefs = [c.copy() for c in net.coefs]
@@ -272,35 +266,13 @@ def kan_gradcheck(net: KanNetwork, x, y, lam: float = 1e-3, eps: float = 1e-5) -
     zero edge output, so callers should check :func:`min_abs_edge_output`
     is comfortably above ``eps`` first.
     """
-    x = model_rows(x, net.n_inputs)
-    y = np.asarray(y, dtype=float).ravel()
+    x, y = training_rows(x, y, net.n_inputs)
     coefs = [c.copy() for c in net.coefs]
     bypass = [b.copy() for b in net.bypass]
     probe = replace(net, coefs=tuple(coefs), bypass=tuple(bypass))
     _, gc, gb = _loss_and_grads(probe, x, y, lam)
-    analytic = np.concatenate([g.ravel() for g in gc] + [g.ravel() for g in gb])
-    arrays = coefs + bypass
-    theta0 = np.concatenate([a.ravel() for a in arrays])
-
-    def loss_at(theta: np.ndarray) -> float:
-        offset = 0
-        for arr in arrays:
-            arr.flat[:] = theta[offset : offset + arr.size]
-            offset += arr.size
-        loss, _, _ = _loss_and_grads(probe, x, y, lam)
-        return loss
-
-    numeric = np.zeros_like(theta0)
-    for i in range(len(theta0)):
-        theta = theta0.copy()
-        theta[i] = theta0[i] + eps
-        up = loss_at(theta)
-        theta[i] = theta0[i] - eps
-        down = loss_at(theta)
-        numeric[i] = (up - down) / (2.0 * eps)
-    loss_at(theta0)
-    denom = np.maximum(np.abs(analytic) + np.abs(numeric), eps)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return gradient_gap(coefs + bypass, lambda: _loss_and_grads(probe, x, y, lam)[0],
+                        gc + gb, eps)
 
 
 def min_abs_edge_output(net: KanNetwork, x) -> float:
@@ -617,23 +589,19 @@ def kan_snap(
     x_sample,
     library="simple",
     var_indices=None,
-    min_edge_r2: float = 0.9,
     param_penalty: float = 0.01,
-    on_poor_fit: str = "warn",
-    subsample: int = 256,
 ) -> tuple[Expr, SnapReport]:
     """Distil the network into one closed-form expression.
 
-    Every edge function is sampled on a dense uniform grid (``subsample``
-    points) over its reachable range — the span of values it actually sees
+    Every edge function is sampled on a dense uniform grid
+    (:data:`_SNAP_SAMPLES` points) over its reachable range — the span of values it actually sees
     on ``x_sample`` — and fitted against the library; the best candidate by
     ``r2 - param_penalty * n_params`` wins, earlier library entries winning
     ties.  Edge R-squared never exceeds 1, so a candidate is not fitted at
     all when the best score so far is at least ``1 - param_penalty *
     n_params``; fitting it could not change the result.  Edges whose best
-    R-squared falls below ``min_edge_r2`` are recorded as failed and either
-    warned about (``on_poor_fit="warn"``, the default, still emitting the
-    expression) or raised as :class:`SnapFailure`.
+    R-squared falls below :data:`_MIN_EDGE_R2` are recorded as failed and
+    warned about; the expression is still emitted.
 
     ``var_indices`` maps input columns to canonical predictor numbers
     (1-based); by default column p is ``x<p+1>``.  Returns the composed,
@@ -641,8 +609,6 @@ def kan_snap(
     max absolute disagreement with the network over ``x_sample``.
     """
     x = model_rows(x_sample, net.n_inputs)
-    if on_poor_fit not in ("warn", "raise"):
-        raise ValueError(f"on_poor_fit must be 'warn' or 'raise', got {on_poor_fit!r}")
     candidates = _resolve_library(library)
     if var_indices is None:
         var_indices = tuple(range(1, net.n_inputs + 1))
@@ -663,7 +629,7 @@ def kan_snap(
             terms: list[Expr] = []
             for pi in range(p_width):
                 reached = a[:, pi]
-                u = np.linspace(float(reached.min()), float(reached.max()), subsample)
+                u = np.linspace(float(reached.min()), float(reached.max()), _SNAP_SAMPLES)
                 v = edge_function(net, l, qi, pi, u)
                 best = None
                 for cand in candidates:
@@ -682,16 +648,11 @@ def kan_snap(
                         f"no admissible candidate for edge layer {l} ({qi},{pi})"
                     )
                 _, cand, params, r2 = best
-                failed = r2 < min_edge_r2
-                if failed and on_poor_fit == "raise":
-                    raise SnapFailure(
-                        f"edge layer {l} ({qi},{pi}) best candidate {cand.name} "
-                        f"has r2 {r2:.4f} < {min_edge_r2}"
-                    )
+                failed = r2 < _MIN_EDGE_R2
                 if failed:
                     warnings.warn(
                         f"edge layer {l} ({qi},{pi}): best candidate {cand.name} "
-                        f"fits with r2 {r2:.4f}, below {min_edge_r2}",
+                        f"fits with r2 {r2:.4f}, below {_MIN_EDGE_R2}",
                         stacklevel=2,
                     )
                 reports.append(
@@ -778,15 +739,14 @@ def incremental_experiment(
     steps: int = 1500,
     learning_rate: float = 0.5,
     lam: float = 1e-3,
-    var_indices=None,
 ) -> tuple[StepRecord, ...]:
     """Grow the input set one predictor at a time and refit.
 
     ``ordering`` lists 0-based columns of the full matrices in the order
     they should be added; prefix k uses the first k of them with the
     ``regime`` layout.  Every (prefix, seed) pair trains from scratch, is
-    scored on train and test, and is snapped to an expression whose
-    variables are numbered by ``var_indices`` (defaults to column+1).
+    scored on train and test, and is snapped to an expression in which
+    column c is the variable ``x<c+1>``.
     The pairs are independent, so they run one per usable CPU in worker
     processes (inline when that is one); the records do not depend on how
     many ran at once.
@@ -796,8 +756,7 @@ def incremental_experiment(
     y_train = np.asarray(y_train, dtype=float).ravel()
     y_test = np.asarray(y_test, dtype=float).ravel()
     ordering = [int(c) for c in ordering]
-    if var_indices is None:
-        var_indices = [c + 1 for c in ordering]
+    var_indices = [c + 1 for c in ordering]
     config = {
         "grid_size": grid_size,
         "steps": steps,

@@ -1,4 +1,5 @@
-"""Fit metrics and comparison tables.
+"""Fit metrics and comparison tables, and the central-difference gap that
+the two networks' gradient checks report.
 
 Scale conventions: callers pass whatever space they like (normalized or
 degrees Celsius); the functions are unit-agnostic.  R-squared is undefined
@@ -20,6 +21,7 @@ __all__ = [
     "metrics",
     "quantile_compare",
     "per_group_metrics",
+    "gradient_gap",
 ]
 
 
@@ -82,17 +84,15 @@ class QuantilePoint:
     q_predicted: float
 
 
-def quantile_compare(y_true, y_pred, n_quantiles: int = 21) -> tuple[QuantilePoint, ...]:
+def quantile_compare(y_true, y_pred) -> tuple[QuantilePoint, ...]:
     """Matched quantiles of observed and predicted values.
 
-    Probabilities are ``linspace(0, 1, n_quantiles)``; quantiles use linear
-    interpolation, so comparing a vector against itself lands exactly on the
-    diagonal.
+    Probabilities are ``linspace(0, 1, 101)``, every percentile; quantiles
+    use linear interpolation, so comparing a vector against itself lands
+    exactly on the diagonal.
     """
-    if n_quantiles < 2:
-        raise ValueError(f"n_quantiles must be >= 2, got {n_quantiles}")
     t, p = _as_pair(y_true, y_pred)
-    probs = np.linspace(0.0, 1.0, n_quantiles)
+    probs = np.linspace(0.0, 1.0, 101)
     qt = np.quantile(t, probs)
     qp = np.quantile(p, probs)
     return tuple(
@@ -158,3 +158,35 @@ def per_group_metrics(
                 )
             )
     return tuple(rows)
+
+
+def gradient_gap(arrays, loss, analytic, eps: float) -> float:
+    """Analytic gradients against central differences of ``loss``.
+
+    ``arrays`` are the parameters, which the probe writes in place before
+    each call of ``loss()`` and restores at the end; ``analytic`` holds their
+    gradients in the same order.  Returns ``max |g_an - g_fd| / max(|g_an| +
+    |g_fd|, eps)``: flooring the denominator at the probe step keeps
+    components below finite-difference resolution from reading as noise.
+    """
+    theta0 = np.concatenate([a.ravel() for a in arrays])
+
+    def loss_at(theta: np.ndarray) -> float:
+        offset = 0
+        for arr in arrays:
+            arr.flat[:] = theta[offset : offset + arr.size]
+            offset += arr.size
+        return loss()
+
+    numeric = np.zeros_like(theta0)
+    for i in range(len(theta0)):
+        theta = theta0.copy()
+        theta[i] = theta0[i] + eps
+        up = loss_at(theta)
+        theta[i] = theta0[i] - eps
+        down = loss_at(theta)
+        numeric[i] = (up - down) / (2.0 * eps)
+    loss_at(theta0)
+    analytic = np.concatenate([g.ravel() for g in analytic])
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), eps)
+    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -17,13 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Diverged, DimensionMismatch, InvalidLayout, InvalidParam
-from .features import model_rows
+from .errors import Diverged, InvalidLayout, InvalidParam
+from .features import model_rows, training_rows
+from .metrics import gradient_gap
 
 __all__ = [
     "MlpModel",
     "mlp_init",
-    "mlp_forward",
     "mlp_train",
     "mlp_gradcheck",
 ]
@@ -59,12 +59,9 @@ class MlpModel:
             if self.weights[l].shape != (a, b) or self.biases[l].shape != (b,):
                 raise InvalidLayout(f"layer {l} arrays do not match layout {self.layout}")
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def predict(self, x) -> np.ndarray:
-        return mlp_forward(self, x)
+        """Inference prediction (no dropout) for a row or a batch."""
+        return _forward(self, model_rows(x, self.layout[0]), train=False, rng=None)[0]
 
     def input_terms(self, x) -> np.ndarray:
         """First-layer contribution of each input, shape (n, n_inputs, width).
@@ -99,8 +96,6 @@ class MlpModel:
 def mlp_init(layout, seed: int = 0, dropout_rate: float = 0.1) -> MlpModel:
     """Fresh model: weights uniform on +-1/sqrt(fan_in), biases zero."""
     layout = tuple(int(v) for v in layout)
-    if len(layout) < 2:
-        raise InvalidLayout(f"layout must list >= 2 widths, got {layout}")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -149,21 +144,6 @@ def _forward(
     return z_out[:, 0], activations, preacts, masks
 
 
-def mlp_forward(model: MlpModel, x, mode: str = "infer", rng=None) -> np.ndarray:
-    """Predict for a row or batch.
-
-    ``mode="train"`` applies fresh dropout masks from ``rng`` (required
-    then); ``mode="infer"`` is deterministic.
-    """
-    if mode not in ("infer", "train"):
-        raise ValueError(f"mode must be 'infer' or 'train', got {mode!r}")
-    if mode == "train" and model.dropout_rate > 0.0 and rng is None:
-        raise InvalidParam("train-mode forward needs an rng for dropout masks")
-    batch = model_rows(x, model.layout[0])
-    pred, _, _, _ = _forward(model, batch, train=(mode == "train"), rng=rng)
-    return pred
-
-
 def _backward(model, x, y, pred, activations, preacts, masks):
     """Mean-squared-error gradients for every weight and bias."""
     n = len(x)
@@ -206,11 +186,7 @@ def mlp_train(
     sample-weighted mean of its batch losses.  A non-finite loss raises
     :class:`Diverged`.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    batch_all = model_rows(x, model.layout[0])
-    if len(batch_all) != len(y):
-        raise DimensionMismatch(f"{len(batch_all)} rows but {len(y)} targets")
+    batch_all, y = training_rows(x, y, model.layout[0])
     if epochs < 1 or batch_size < 1:
         raise InvalidParam("epochs and batch_size must be >= 1")
     if learning_rate <= 0.0:
@@ -248,10 +224,6 @@ def mlp_train(
     return current, tuple(trace)
 
 
-def _flatten(arrays) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
 def mlp_gradcheck(model: MlpModel, x, y, eps: float = 1e-5) -> float:
     """Compare backprop gradients against central finite differences.
 
@@ -263,10 +235,7 @@ def mlp_gradcheck(model: MlpModel, x, y, eps: float = 1e-5) -> float:
     because the rectifier's kink would make one-sided curvature leak into
     the finite difference.
     """
-    x = model_rows(x, model.layout[0])
-    y = np.asarray(y, dtype=float).ravel()
-    if len(x) != len(y):
-        raise DimensionMismatch(f"{len(x)} rows but {len(y)} targets")
+    x, y = training_rows(x, y, model.layout[0])
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
     probe = replace(model, weights=tuple(weights), biases=tuple(biases))
@@ -282,26 +251,10 @@ def mlp_gradcheck(model: MlpModel, x, y, eps: float = 1e-5) -> float:
         if not moved:
             break
 
-    def loss_at(theta: np.ndarray) -> float:
-        offset = 0
-        for arr in (*weights, *biases):
-            arr.flat[:] = theta[offset : offset + arr.size]
-            offset += arr.size
+    def loss() -> float:
         pred, _, _, _ = _forward(probe, x, train=False, rng=None)
         return float(np.mean((pred - y) ** 2))
 
-    theta0 = _flatten([*weights, *biases])
     pred, acts, preacts, masks = _forward(probe, x, train=False, rng=None)
     gw, gb = _backward(probe, x, y, pred, acts, preacts, masks)
-    analytic = _flatten([*gw, *gb])
-    numeric = np.zeros_like(theta0)
-    for i in range(len(theta0)):
-        theta = theta0.copy()
-        theta[i] = theta0[i] + eps
-        up = loss_at(theta)
-        theta[i] = theta0[i] - eps
-        down = loss_at(theta)
-        numeric[i] = (up - down) / (2.0 * eps)
-    loss_at(theta0)  # restore parameters
-    denom = np.maximum(np.abs(analytic) + np.abs(numeric), eps)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return gradient_gap([*weights, *biases], loss, [*gw, *gb], eps)

@@ -684,6 +684,8 @@ def simplify(expr: Expr) -> Expr:
             return simplify(add(*(mul(const(coef), t) for t in rest[0].terms)))
         if coef == 1.0:
             return mul(*rest)
+        if coef == -1.0:
+            return simplify(Neg(mul(*rest)))
         if coef < 0.0:
             return Neg(mul(Const(-coef), *rest))
         return mul(Const(coef), *rest)

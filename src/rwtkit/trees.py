@@ -39,8 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyData, InvalidParam
-from .features import model_rows
+from .errors import InvalidParam
+from .features import model_rows, training_rows
 
 __all__ = [
     "TreeParams",
@@ -370,41 +370,11 @@ def _sorted_mean(v: np.ndarray) -> np.ndarray:
     return v.sum(axis=0) / len(v)
 
 
-def _check_training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if x.ndim != 2:
-        raise DimensionMismatch(f"x must be 2-D, got ndim={x.ndim}")
-    if len(x) == 0:
-        raise EmptyData("cannot fit on an empty dataset")
-    if len(x) != len(y):
-        raise DimensionMismatch(f"{len(x)} rows but {len(y)} targets")
-    return x, y
-
-
-def tree_fit(
-    x,
-    y,
-    params: TreeParams = TreeParams(),
-    max_features: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> DecisionTree:
-    """Fit one regression tree with mean-valued leaves.
-
-    With ``max_features`` set, each split considers that many features drawn
-    without replacement from ``rng`` (required then), in preorder node
-    visit order.
-    """
-    x, y = _check_training_data(x, y)
-    if max_features is not None:
-        if not (1 <= max_features <= x.shape[1]):
-            raise InvalidParam(
-                f"max_features must be in 1..{x.shape[1]}, got {max_features}"
-            )
-        if rng is None:
-            raise InvalidParam("max_features subsampling needs an rng")
+def tree_fit(x, y, params: TreeParams = TreeParams()) -> DecisionTree:
+    """Fit one regression tree with mean-valued leaves, every feature open to every split."""
+    x, y = training_rows(x, y)
     cols = np.ascontiguousarray(x.T)
-    return _TreeBuilder(cols, _presort(cols), y, params, rng, max_features).build()
+    return _TreeBuilder(cols, _presort(cols), y, params, None).build()
 
 
 @dataclass(frozen=True)
@@ -462,7 +432,7 @@ def rf_fit(x, y, params: ForestParams = ForestParams()) -> Forest:
     replacement), then the per-split feature subsets.  Fitting trees in any
     order, serially or in parallel, therefore gives identical forests.
     """
-    x, y = _check_training_data(x, y)
+    x, y = training_rows(x, y)
     n, q = x.shape
     max_features = min(params.max_features, q)
     tree_params = TreeParams(
@@ -561,9 +531,8 @@ def gbm_fit(x, y, params: BoostParams = BoostParams()) -> BoostedEnsemble:
     Per-tree column subsets (``colsample_bytree``) come from independent
     ``SeedSequence(seed)`` child streams.
     """
-    x, y = _check_training_data(x, y)
+    x, y = training_rows(x, y)
     n, q = x.shape
-    model_rows(x, q)  # non-finite inputs raise here, as the fitted model would
     base = float(y.mean())
     tree_params = TreeParams(
         max_depth=params.max_depth,

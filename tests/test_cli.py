@@ -272,6 +272,9 @@ CORRUPTIONS = {
     "model-threshold-not-a-list": ("model_cart.json", _edited("state", "threshold", value=3)),
     "model-state-not-a-dict": ("model_gbm.json", _edited("state", value=[])),
     "notes-type-swapped": ("ingest_notes.json", _listed),
+    "notes-source-unknown": ("ingest_notes.json", _edited("source", value=[])),
+    "notes-truth-not-a-string": ("ingest_notes.json", _edited("truth", value=[])),
+    "notes-noise-sigma-not-a-string": ("ingest_notes.json", _edited("noise_sigma", value={})),
     "metrics-truncated": ("metrics.json", _truncated),
     "metrics-emptied": ("metrics.json", _emptied),
     "shap-global-truncated": ("shap_global.json", _truncated),
@@ -279,9 +282,12 @@ CORRUPTIONS = {
     "shap-global-n-instances-negative": ("shap_global.json", _edited("n_instances", value=-1)),
     "r2-curve-short-row": ("r2_curve.csv", lambda text, name: text + "7,0.5\n"),
     "r2-curve-nan-row": ("r2_curve.csv", lambda text, name: text + "7,nan,1\n"),
+    "report-profiles-first-line-only": ("profiles.jsonl",
+                                        lambda text, name: text.splitlines(True)[0]),
 }
 
-#: Files that only ``report`` reads; every other case runs ``evaluate``.
+#: Files that only ``report`` reads; every other case runs ``evaluate``,
+#: except the ``report-`` cases, which run ``report`` on a file both read.
 REPORT_ONLY = ("ingest_notes.json", "metrics.json", "shap_global.json", "r2_curve.csv")
 
 
@@ -308,7 +314,8 @@ def test_corrupt_run_directory_is_schema_mismatch(trained_dir, tmp_path, capsys,
     shutil.copytree(trained_dir, out)
     path = out / name
     path.write_text(corrupt(path.read_text(), name))
-    command = ["report", "--model", "cart"] if name in REPORT_ONLY else ["evaluate"]
+    reported = name in REPORT_ONLY or case.startswith("report-")
+    command = ["report", "--model", "cart"] if reported else ["evaluate"]
     capsys.readouterr()
     assert main(command + ["--out", str(out)]) == 1
     record = json.loads(capsys.readouterr().err)
@@ -680,6 +687,21 @@ def test_file_based_ingest(csv_inputs, tmp_path):
     notes = json.loads((out / "ingest_notes.json").read_text())
     assert notes["source"] == "files"
     assert notes["rejected_profiles"] == []
+
+
+def test_non_finite_csv_value_is_schema_mismatch(csv_inputs, tmp_path, capsys):
+    obs, daily, morph = csv_inputs
+    lines = obs.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+    obs.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = main(["ingest", "--observations", str(obs), "--daily", str(daily),
+               "--morphometry", str(morph), "--out", str(out)])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "SchemaMismatch", "message": "line 4: bad temp_c value 'nan'"}
+    assert not (out / "profiles.jsonl").exists()
 
 
 def test_file_ingest_requires_all_paths(tmp_path, capsys):

@@ -127,6 +127,20 @@ def test_bad_field_reports_line_number():
         parse_observations(obs_csv(bad))
 
 
+@pytest.mark.parametrize("parser, text, message", [
+    (parse_observations, obs_csv(PROFILE_ROWS[:3] + ["res1,2015-06-01,s1,9.0,nan"]).getvalue(),
+     "line 5: bad temp_c value 'nan'"),
+    (parse_daily, f"{DAILY_HEADER}\nres1,2015-05-01,10.0,inf,2.0,5.0e7,14.0\n",
+     "line 2: bad prcp_mm value 'inf'"),
+    (parse_morphometry, f"{MORPH_HEADER}\nres1,3.0e6,-Infinity\n",
+     "line 2: bad max_depth_m value '-Infinity'"),
+], ids=["observations", "daily", "morphometry"])
+def test_non_finite_value_is_schema_mismatch(parser, text, message):
+    with pytest.raises(SchemaMismatch) as exc:
+        parser(text)
+    assert str(exc.value) == message
+
+
 # --- daily and morphometry parsing ------------------------------------------
 
 
@@ -215,18 +229,6 @@ def test_rolling_features_hand_oracle():
     assert cov[Feature.inflow_lake] == pytest.approx(14.0)
     assert cov[Feature.surf_area_depth] == pytest.approx(2.0e6 / 25.0)
     assert Feature.depth_measure not in cov
-
-
-def test_rolling_features_exclude_current():
-    series = parse_daily(daily_csv())
-    morph = parse_morphometry(io.StringIO(f"{MORPH_HEADER}\nres1,2.0e6,25.0\n"))
-    cov = rolling_features(
-        series, morph, "res1", datetime.date(2015, 5, 10), include_current=False
-    )
-    temps = [10.0 + i for i in range(2, 9)]  # window shifts back one day
-    assert cov[Feature.air_temp7d] == pytest.approx(np.mean(temps))
-    # Same-day values still come from the date itself.
-    assert cov[Feature.air_temp] == pytest.approx(19.0)
 
 
 def test_rolling_window_gap_raises():

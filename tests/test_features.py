@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rwtkit.errors import DegenerateColumn, MissingFeature
+from rwtkit.errors import (
+    DegenerateColumn,
+    DimensionMismatch,
+    EmptyData,
+    MissingFeature,
+    NonFiniteInput,
+)
 from rwtkit.features import (
     DEFAULT_TARGET_RANGE,
     FIXED_FEATURE_RANGES,
@@ -13,6 +19,9 @@ from rwtkit.features import (
     ObservationProfile,
     scaler_fit,
 )
+from rwtkit.kan import kan_gradcheck, kan_init, kan_train
+from rwtkit.mlp import mlp_gradcheck, mlp_init, mlp_train
+from rwtkit.trees import BoostParams, ForestParams, gbm_fit, rf_fit, tree_fit
 
 CANONICAL_ORDER = [
     "air_temp7d",
@@ -33,7 +42,6 @@ def test_feature_numbering_and_order():
     assert [f.value for f in Feature] == list(range(1, 11))
     for f in Feature:
         assert f.column == f.value - 1
-        assert f.symbol == f"x{f.value}"
 
 
 def test_fixed_ranges_cover_every_feature():
@@ -153,3 +161,38 @@ def test_profile_requires_sorted_depths():
             samples=((2.0, 18.0), (0.5, 20.0), (5.0, 12.0), (9.0, 8.0)),
             covariates={},
         )
+
+
+# --- training data -------------------------------------------------------------
+
+#: Every fitter and gradient check, at its smallest setting, on 3-wide rows.
+FITTERS = {
+    "tree": tree_fit,
+    "forest": lambda x, y: rf_fit(x, y, ForestParams(n_estimators=2)),
+    "boosted": lambda x, y: gbm_fit(x, y, BoostParams(n_estimators=2)),
+    "mlp": lambda x, y: mlp_train(mlp_init((3, 4, 1)), x, y, epochs=1),
+    "kan": lambda x, y: kan_train(kan_init((3, 2, 1), grid_size=4), x, y, steps=1),
+    "mlp-gradcheck": lambda x, y: mlp_gradcheck(mlp_init((3, 4, 1)), x, y),
+    "kan-gradcheck": lambda x, y: kan_gradcheck(kan_init((3, 2, 1), grid_size=4), x, y),
+}
+
+
+@pytest.mark.parametrize("fitter", sorted(FITTERS))
+def test_every_fitter_checks_its_training_data_alike(fitter):
+    fit = FITTERS[fitter]
+    x = np.random.default_rng(0).uniform(size=(6, 3))
+    y = np.arange(6.0) / 6.0
+    fit(x, y)
+    for bad in (np.nan, np.inf, -np.inf):
+        rows, targets = x.copy(), y.copy()
+        rows[2, 1] = targets[3] = bad
+        with pytest.raises(NonFiniteInput):
+            fit(rows, y)
+        with pytest.raises(NonFiniteInput):
+            fit(x, targets)
+    with pytest.raises(DimensionMismatch):
+        fit(x, y[:-1])
+    with pytest.raises(DimensionMismatch):
+        fit(x[0], y[:1])  # one row is not training data
+    with pytest.raises(EmptyData):
+        fit(x[:0], y[:0])

@@ -14,7 +14,7 @@ from rwtkit import kan as kan_module
 from rwtkit import parallel
 from rwtkit.bspline import CubicSplineBasis
 from rwtkit.cli import main as cli_main
-from rwtkit.errors import Diverged, InvalidLayout, NonFiniteInput, SnapFailure
+from rwtkit.errors import Diverged, InvalidLayout, NonFiniteInput
 from rwtkit.kan import (
     COMPLEX_LIBRARY,
     SIMPLE_LIBRARY,
@@ -213,16 +213,6 @@ def test_training_deterministic(small_xy):
         assert np.array_equal(la, lb)
 
 
-def test_training_seed_has_no_effect(small_xy):
-    # Full-batch descent draws no randomness; the seed argument only keeps
-    # the signature uniform with the stochastic trainers.
-    x, y = small_xy
-    a, _ = kan_train(kan_init((10, 2, 1), seed=0), x, y, steps=30, seed=0)
-    b, _ = kan_train(kan_init((10, 2, 1), seed=0), x, y, steps=30, seed=99)
-    for la, lb in zip(a.coefs, b.coefs):
-        assert np.array_equal(la, lb)
-
-
 def test_cached_basis_training_is_bitwise_plain_descent(small_xy):
     # kan_train evaluates the first layer's basis once; stepping with a
     # basis rebuilt at every step must give the same bits.
@@ -355,17 +345,16 @@ def test_snap_var_indices_renames_inputs():
 
 
 def test_snap_poor_fit_raise_mode():
-    # A wiggly edge cannot be matched by the simple library at r2 ~ 1, so a
-    # threshold of 1 forces the failure path.
+    # A wiggly edge cannot be matched by the simple library at r2 0.9: the
+    # edge is reported failed with a warning, and the expression is still
+    # returned.
     basis = CubicSplineBasis(GRID)
     u = np.linspace(0.0, 1.0, 300)
     coef = basis.fit(u, np.sin(8.0 * np.pi * u))
     net = single_edge_net(coef, bypass_weight=0.0)
     x = u[:, np.newaxis]
-    with pytest.raises(SnapFailure):
-        kan_snap(net, x, library="simple", min_edge_r2=1.0, on_poor_fit="raise")
     with pytest.warns(UserWarning):
-        _, report = kan_snap(net, x, library="simple", min_edge_r2=1.0, on_poor_fit="warn")
+        _, report = kan_snap(net, x, library="simple")
     assert report.n_failed >= 1
 
 

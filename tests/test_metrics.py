@@ -77,11 +77,11 @@ def test_quantile_compare_matches_numpy():
     rng = np.random.default_rng(0)
     y = rng.normal(10.0, 3.0, size=500)
     p = rng.normal(11.0, 2.5, size=500)
-    points = quantile_compare(y, p, n_quantiles=21)
-    assert len(points) == 21
+    points = quantile_compare(y, p)
+    assert len(points) == 101
     probs = [pt.probability for pt in points]
     assert probs[0] == 0.0 and probs[-1] == 1.0
-    assert np.allclose(np.diff(probs), 0.05)
+    assert np.allclose(np.diff(probs), 0.01)
     for pt in points:
         assert pt.q_observed == pytest.approx(np.quantile(y, pt.probability))
         assert pt.q_predicted == pytest.approx(np.quantile(p, pt.probability))

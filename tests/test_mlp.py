@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rwtkit.errors import DimensionMismatch, InvalidLayout, InvalidParam, NonFiniteInput
-from rwtkit.mlp import MlpModel, mlp_forward, mlp_gradcheck, mlp_init, mlp_train
+from rwtkit.mlp import MlpModel, mlp_gradcheck, mlp_init, mlp_train
 
 
 def tiny_model(dropout_rate=0.0):
@@ -28,18 +28,18 @@ def test_forward_hand_oracle():
     x = np.array([1.0, 2.0])
     # Hidden pre-activations: [1*1 + 2*0.5 + 0.1, 1*(-1) + 2*2 - 0.2] = [2.1, 2.8]
     # After relu: [2.1, 2.8]; output: 2*2.1 - 1*2.8 + 0.3 = 1.7
-    assert mlp_forward(model, x) == pytest.approx(1.7)
+    assert model.predict(x) == pytest.approx(1.7)
     # A negative pre-activation is clipped by the rectifier.
     x = np.array([-1.0, 0.0])
     # Pre-activations: [-0.9, 0.8] -> [0, 0.8]; output: -0.8 + 0.3 = -0.5
-    assert mlp_forward(model, x) == pytest.approx(-0.5)
+    assert model.predict(x) == pytest.approx(-0.5)
 
 
 def test_forward_batch_matches_rows():
     model = mlp_init((10, 7, 1), seed=0, dropout_rate=0.0)
     x = np.random.default_rng(0).uniform(size=(20, 10))
-    batch = mlp_forward(model, x)
-    rows = np.concatenate([mlp_forward(model, row) for row in x])
+    batch = model.predict(x)
+    rows = np.concatenate([model.predict(row) for row in x])
     assert np.allclose(batch, rows, atol=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_predict_rejects_non_finite_rows(bad):
     with pytest.raises(NonFiniteInput):
         model.predict(x)
     with pytest.raises(NonFiniteInput):
-        mlp_forward(model, x[2])
+        model.predict(x[2])
 
 
 def test_init_deterministic_and_shaped():
@@ -126,8 +126,8 @@ def test_training_reduces_loss(small_xy):
                                learning_rate=0.05, seed=0)
     assert len(trace) == 60
     assert trace[-1] < trace[0] * 0.5
-    mse_before = np.mean((mlp_forward(model, x) - y) ** 2)
-    mse_after = np.mean((mlp_forward(trained, x) - y) ** 2)
+    mse_before = np.mean((model.predict(x) - y) ** 2)
+    mse_after = np.mean((trained.predict(x) - y) ** 2)
     assert mse_after < mse_before
 
 
@@ -162,27 +162,16 @@ def test_momentum_trains_and_differs(small_xy):
         mlp_train(init, x, y, momentum=1.0, **kwargs)
 
 
-def test_dropout_modes():
-    model = mlp_init((6, 12, 1), seed=0, dropout_rate=0.3)
-    x = np.random.default_rng(1).uniform(size=(8, 6))
-    with pytest.raises(InvalidParam):
-        mlp_forward(model, x, mode="train")  # dropout draw needs an rng
-    a = mlp_forward(model, x, mode="train", rng=np.random.default_rng(5))
-    b = mlp_forward(model, x, mode="train", rng=np.random.default_rng(5))
-    c = mlp_forward(model, x, mode="train", rng=np.random.default_rng(6))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    # Inference is deterministic and needs no rng.
-    assert np.array_equal(mlp_forward(model, x), mlp_forward(model, x))
-    with pytest.raises(ValueError):
-        mlp_forward(model, x, mode="predict")
-
-
-def test_zero_dropout_train_equals_infer():
-    model = mlp_init((5, 9, 1), seed=3, dropout_rate=0.0)
-    x = np.random.default_rng(2).uniform(size=(7, 5))
-    trained_mode = mlp_forward(model, x, mode="train", rng=np.random.default_rng(0))
-    assert np.array_equal(trained_mode, mlp_forward(model, x))
+def test_dropout_changes_the_fit_and_its_seed_repeats_it(small_xy):
+    x, y = small_xy
+    kwargs = dict(epochs=5, batch_size=16, learning_rate=0.05, seed=3)
+    plain, _ = mlp_train(mlp_init((10, 8, 1), seed=1, dropout_rate=0.0), x, y, **kwargs)
+    a, trace_a = mlp_train(mlp_init((10, 8, 1), seed=1, dropout_rate=0.3), x, y, **kwargs)
+    b, trace_b = mlp_train(mlp_init((10, 8, 1), seed=1, dropout_rate=0.3), x, y, **kwargs)
+    assert not np.array_equal(plain.weights[0], a.weights[0])
+    assert trace_a == trace_b
+    for wa, wb in zip(a.weights, b.weights):
+        assert np.array_equal(wa, wb)
 
 
 def test_train_input_validation(small_xy):

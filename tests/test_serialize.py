@@ -8,7 +8,7 @@ import pytest
 from rwtkit.errors import SchemaMismatch
 from rwtkit.features import Scaler, scaler_fit
 from rwtkit.kan import KanNetwork, kan_init, kan_train
-from rwtkit.mlp import MlpModel, mlp_forward, mlp_init, mlp_train
+from rwtkit.mlp import mlp_init, mlp_train
 from rwtkit.serialize import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -55,8 +55,6 @@ def models(xy):
 
 
 def _predict(model, x):
-    if isinstance(model, MlpModel):
-        return mlp_forward(model, x)
     if isinstance(model, KanNetwork):
         return model.forward(x)
     return model.predict(x)

@@ -276,6 +276,20 @@ def test_simplify_preserves_value_and_is_idempotent(expr):
     assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("expr, text", [
+    (mul(const(-1.0), Var(2)), "-x2"),
+    (Pow(Neg(mul(const(-1.0), Var(1))), 2), "x1^2"),
+    (mul(const(-1.0), Neg(Var(3))), "x3"),
+    (Neg(mul(const(-1.0), Var(1))), "x1"),
+])
+def test_simplify_drops_a_unit_factor_left_by_negation_in_one_pass(expr, text):
+    # A coefficient of -1 once left Neg(Mul(1.0, x)), which only a second
+    # pass folded.
+    simple = simplify(expr)
+    assert to_text(simple) == text
+    assert simplify(simple) == simple
+
+
 def test_simplify_folds_trivial_structure():
     assert to_text(simplify(parse_expression("x1 + 0"))) == "x1"
     assert to_text(simplify(parse_expression("1*x1"))) == "x1"

@@ -243,15 +243,6 @@ def test_training_data_validation():
         tree.predict(np.zeros((2, 5)))
 
 
-def test_tree_subsampling_requires_rng():
-    x = np.random.default_rng(0).uniform(size=(10, 3))
-    y = np.arange(10.0)
-    with pytest.raises(InvalidParam):
-        tree_fit(x, y, max_features=2)
-    with pytest.raises(InvalidParam):
-        tree_fit(x, y, max_features=7, rng=np.random.default_rng(0))
-
-
 # --- forests -----------------------------------------------------------------
 
 
