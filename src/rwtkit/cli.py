@@ -336,7 +336,7 @@ def _parse_split(text: str) -> SplitPlan:
         train=tuple((r, d, s) for r, d, s in rec["train"]),
         test=tuple((r, d, s) for r, d, s in rec["test"]),
         ratio=float(rec["ratio"]),
-        seed=int(rec["seed"]),
+        seed=rec["seed"],
     )
 
 
@@ -647,6 +647,9 @@ def cmd_kan_run(cfg: RunConfig) -> None:
         curve.append(f"{k},{float(np.mean(by_k[k]))!r},{len(by_k[k])}")
     _emit(cfg, "kan-run", cfg.model_seed,
           {"kan_records.jsonl": _joined(lines), "r2_curve.csv": _joined(curve)})
+    if not by_k:  # every test target is the same value
+        print(f"kan-run: {len(records)} runs, test r2 undefined")
+        return
     last = max(by_k)
     print(f"kan-run: {len(records)} runs, mean test r2 at {last} inputs "
           f"{_disp(float(np.mean(by_k[last])))}")
@@ -731,8 +734,11 @@ def cmd_report(cfg: RunConfig) -> None:
             g = json.loads(shap_path.read_text())
             if g["model"] not in MODEL_NAMES:
                 raise ValueError(f"model {g['model']!r} is not one of {MODEL_NAMES}")
-            if type(g["n_instances"]) is not int or g["n_instances"] < 0:
-                raise ValueError(f"n_instances {g['n_instances']!r} is not a count")
+            for key, least in (("n_instances", 0), ("background_rows", 1)):
+                if type(g[key]) is not int or g[key] < least:
+                    raise ValueError(f"{key} {g[key]!r} is not an int >= {least}")
+            if sorted(g["importance"]) != sorted(f.name for f in Feature):
+                raise ValueError("importance does not name each of the ten features once")
             lines.append(f"## Attribution ({g['model']}, {g['n_instances']} instances)")
             lines.append("")
             ranked = sorted(g["importance"].items(), key=lambda kv: kv[1]["rank"])
@@ -752,8 +758,11 @@ def cmd_report(cfg: RunConfig) -> None:
                 if int(k) < 1 or not math.isfinite(float(mean)) or int(n_seeds) < 1:
                     raise ValueError(f"row {k},{mean},{n_seeds} is not a positive input "
                                      "count, a finite r2 and a positive seed count")
-            lines.extend(_md_table(["inputs", "mean test r2"],
-                                   [(k, _disp(float(mean))) for k, mean, _ in rows]))
+            if rows:
+                lines.extend(_md_table(["inputs", "mean test r2"],
+                                       [(k, _disp(float(mean))) for k, mean, _ in rows]))
+            else:
+                lines.append("- test r2 undefined: every test target is the same value")
             lines.append("")
 
     lines.append("## Reference equations")

@@ -9,13 +9,18 @@ penalty on the mean absolute edge outputs, which starves edges the target
 does not need.
 
 After training, each edge function is fitted against a small library of
-closed forms (grid sweep over the inner affine parameters, exact least
-squares for the outer scale and offset, then repeated zooming; entirely
-deterministic).  Candidates are scored by R-squared minus a per-parameter
-penalty, rational candidates with a pole inside the edge's reachable input
-range are rejected, a candidate that cannot win even at R-squared 1 is not
-fitted, and the winning forms are composed layer by layer into one
-expression, which is checked against the network before it is returned.
+closed forms.  Beside the constant and the line, the library is a table of
+swept forms d + c*outer(inner(p1, p2, u)), each written once: a grid sweep
+over the inner parameters (p1, p2) inside a box, exact least squares for the
+outer scale c and offset d, then repeated zooming; entirely deterministic.
+The same inner and outer functions give the sweep's features and the fitted
+prediction.  Each distillation regime names its hidden width and its
+library in one table.  Candidates are scored by R-squared minus a
+per-parameter penalty, rational candidates with a pole inside the edge's
+reachable input range are rejected, a candidate that cannot win even at
+R-squared 1 is not fitted, and the winning forms are composed layer by
+layer into one expression, which is checked against the network before it
+is returned.
 """
 
 from __future__ import annotations
@@ -317,23 +322,26 @@ def _outer_lstsq(f: np.ndarray, v: np.ndarray):
     return c, d, np.multiply(tmp, tmp, out=tmp).sum(axis=-1)
 
 
-def _sweep(u, v, make_feature, p1_lo, p1_hi, p2_lo, p2_hi):
-    """Best (p1, p2, c, d, sse) by grid sweep with zooming.
+def _sweep(u, v, inner, outer, guard, p1_lo, p1_hi, p2_lo, p2_hi):
+    """Best (sse, p1, p2, c, d) for v ~ d + c*outer(inner(p1, p2, u)).
 
-    ``make_feature(p1_grid, p2_grid, u)`` returns the feature tensor
-    (n1, n2, n) and a validity mask (n1, n2) or None.  A fixed second
-    parameter (``p2_lo == p2_hi``) gets a one-point axis.  Deterministic.
+    Grid sweep over (p1, p2) with zooming.  ``inner`` takes the grids
+    broadcast to (n1, 1, 1) and (1, n2, 1); ``guard(arg, f)``, if given,
+    returns the (n1, n2) mask of admissible grid points from the inner
+    values and the feature.  A fixed second parameter (``p2_lo == p2_hi``)
+    gets a one-point axis.  Deterministic.
     """
     best = None
     for _ in range(_SWEEP_ZOOMS):
         p1_grid = np.linspace(p1_lo, p1_hi, _SWEEP_STEPS)
         p2_grid = np.linspace(p2_lo, p2_hi, 1 if p2_lo == p2_hi else _SWEEP_STEPS)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f, valid = make_feature(p1_grid, p2_grid, u)
+            arg = inner(p1_grid[:, np.newaxis, np.newaxis], p2_grid[np.newaxis, :, np.newaxis], u)
+            f = outer(arg)
             c, d, sse = _outer_lstsq(f, v)
         bad = ~np.isfinite(sse)
-        if valid is not None:
-            bad |= ~valid
+        if guard is not None:
+            bad |= ~guard(arg, f)
         sse = np.where(bad, np.inf, sse)
         flat = int(np.argmin(sse))
         i1, i2 = np.unravel_index(flat, sse.shape)
@@ -350,12 +358,26 @@ def _sweep(u, v, make_feature, p1_lo, p1_hi, p2_lo, p2_hi):
     return best
 
 
-def _affine_feature(transform, guard=None):
-    def make(a_grid, b_grid, u):
-        arg = a_grid[:, np.newaxis, np.newaxis] * u + b_grid[np.newaxis, :, np.newaxis]
-        f = transform(arg)
-        return f, None if guard is None else guard(arg, f)
-    return make
+def _swept(name, n_params, inner, outer, guard, box, build):
+    """Candidate d + c*outer(inner(p1, p2, u)), fitted by :func:`_sweep`.
+
+    ``box(lo, hi, pad)`` gives the first sweep's (p1_lo, p1_hi, p2_lo,
+    p2_hi) from the edge's input range [lo, hi], with ``pad`` its width
+    floored at 0.1.  A 3-parameter candidate fixes p2 in its box and
+    leaves it out of its params (p1, c, d).
+    """
+
+    def fit(u, v):
+        lo, hi = float(u.min()), float(u.max())
+        got = _sweep(u, v, inner, outer, guard, *box(lo, hi, max(hi - lo, 0.1)))
+        if got is None:
+            return None
+        _, p1, p2, c, d = got
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            pred = c * outer(inner(p1, p2, u)) + d
+        return ((p1, p2, c, d) if n_params == 4 else (p1, c, d)), pred
+
+    return _Candidate(name, n_params, fit, build)
 
 
 def _guard_away_from_zero(arg, f):
@@ -379,136 +401,69 @@ def _guard_tan(arg, f):
     return valid
 
 
+def _guard_exp(arg, f):
+    return np.max(np.abs(arg), axis=-1) <= 50.0
+
+
 def _fit_constant(u, v):
     mean = float(v.mean())
     return (mean,), np.full_like(v, mean)
 
 
-def _build_constant(child, params):
-    return const(params[0])
-
-
 def _fit_linear(u, v):
     a, b = np.polyfit(u, v, 1) if len(np.unique(u)) > 1 else (0.0, float(v.mean()))
-    pred = a * u + b
-    return (float(a), float(b)), pred
+    return (float(a), float(b)), a * u + b
 
 
-def _build_linear(child, params):
-    a, b = params
-    return _affine(child, a, b)
+def _ramp(a, b, u):
+    return a * u + b
 
 
-def _wrapped_fit(transform, guard):
-    """Fit of d + c*transform(a*u + b) by sweeping (a, b)."""
-
-    def fit(u, v):
-        got = _sweep(u, v, _affine_feature(transform, guard), -10.0, 10.0, -10.0, 10.0)
-        if got is None:
-            return None
-        _, a, b, c, d = got
-        with np.errstate(over="ignore", divide="ignore"):
-            pred = c * transform(a * u + b) + d
-        return (a, b, c, d), pred
-
-    return fit
+def _wide(lo, hi, pad):
+    return -10.0, 10.0, -10.0, 10.0
 
 
-def _make_wrapped(name, transform, guard, build_core):
-    """Candidate d + c*g(a*u + b) fitted by sweeping (a, b)."""
-
-    def build(child, params):
-        a, b, c, d = params
-        return _affine(build_core(_affine(child, a, b)), c, d)
-
-    fit = _wrapped_fit(transform, guard)
-    return _Candidate(name=name, n_params=4, fit=fit, build=build)
+def _called(fn):
+    """Build of d + c*fn(a*x + b)."""
+    return lambda x, p: _affine(Call(fn, _affine(x, p[0], p[1])), p[2], p[3])
 
 
-def _guard_exp(arg, f):
-    return np.max(np.abs(arg), axis=-1) <= 50.0
-
-
-def _fit_exp(u, v):
-    got = _sweep(u, v, _affine_feature(np.exp, _guard_exp), -10.0, 10.0, 0.0, 0.0)
-    if got is None:
-        return None
-    _, a, _, c, d = got
-    return (a, c, d), c * np.exp(a * u) + d
-
-
-def _build_exp(child, params):
-    a, c, d = params
-    return _affine(Call("exp", simplify(mul(const(a), child))), c, d)
-
-
-def _fit_gauss(u, v):
-    lo, hi = float(u.min()), float(u.max())
-    pad = max(hi - lo, 0.1)
-
-    def make(k_grid, m_grid, u_arr):
-        diff = u_arr - m_grid[np.newaxis, :, np.newaxis]
-        arg = -k_grid[:, np.newaxis, np.newaxis] * diff * diff
-        return np.exp(arg), None
-
-    got = _sweep(u, v, make, 0.1, 30.0, lo - pad, hi + pad)
-    if got is None:
-        return None
-    _, k, m, c, d = got
-    return (k, m, c, d), c * np.exp(-k * (u - m) ** 2) + d
-
-
-def _build_gauss(child, params):
-    k, m, c, d = params
-    sq = Pow(simplify(add(child, const(-m))), 2)
+def _build_gauss(x, p):
+    k, m, c, d = p
+    sq = Pow(simplify(add(x, const(-m))), 2)
     return _affine(Call("exp", simplify(mul(const(-k), sq))), c, d)
 
 
-def _fit_sqshift(u, v):
-    lo, hi = float(u.min()), float(u.max())
-    pad = max(hi - lo, 0.1)
+def _over(power):
+    """Build of d + c/(a*x + b)**power."""
 
-    def make(a_grid, b_grid, u_arr):
-        diff = a_grid[:, np.newaxis, np.newaxis] - u_arr
-        return diff * diff, None
+    def build(x, p):
+        den = _affine(x, p[0], p[1])
+        return simplify(add(Div(const(p[2]), den if power == 1 else Pow(den, power)),
+                            const(p[3])))
 
-    got = _sweep(u, v, make, lo - 3 * pad, hi + 3 * pad, 0.0, 0.0)
-    if got is None:
-        return None
-    _, a, _, c, d = got
-    return (a, c, d), c * (a - u) ** 2 + d
+    return build
 
 
-def _build_sqshift(child, params):
-    a, c, d = params
-    return _affine(Pow(simplify(add(const(a), Neg(child))), 2), c, d)
-
-
-def _make_reciprocal(name, power):
-    """Candidate d + c/(a*u + b)**power with the pole kept out of range."""
-    transform = (lambda t: 1.0 / t) if power == 1 else (lambda t: 1.0 / (t * t))
-
-    def build(child, params):
-        a, b, c, d = params
-        inner = _affine(child, a, b)
-        den = inner if power == 1 else Pow(inner, 2)
-        return simplify(add(Div(const(c), den), const(d)))
-
-    fit = _wrapped_fit(transform, _guard_away_from_zero)
-    return _Candidate(name=name, n_params=4, fit=fit, build=build)
-
-
-_CONSTANT = _Candidate("constant", 1, _fit_constant, _build_constant)
-_LINEAR = _Candidate("linear", 2, _fit_linear, _build_linear)
-_RECIP = _make_reciprocal("reciprocal", 1)
-_RECIP2 = _make_reciprocal("reciprocal_sq", 2)
-_COS = _make_wrapped("cos", np.cos, None, lambda inner: Call("cos", inner))
-_TAN = _make_wrapped("tan", np.tan, _guard_tan, lambda inner: Call("tan", inner))
-_TANH = _make_wrapped("tanh", np.tanh, None, lambda inner: Call("tanh", inner))
-_LOG = _make_wrapped("log", np.log, _guard_positive, lambda inner: Call("log", inner))
-_EXP = _Candidate("exp", 3, _fit_exp, _build_exp)
-_GAUSS = _Candidate("gauss", 4, _fit_gauss, _build_gauss)
-_SQSHIFT = _Candidate("sq_shift", 3, _fit_sqshift, _build_sqshift)
+# The swept entries in _swept's argument order: name, n_params, inner(p1, p2, u),
+# outer(t), guard(arg, f), box(lo, hi, pad) and the expression builder.
+_CONSTANT = _Candidate("constant", 1, _fit_constant, lambda x, p: const(p[0]))
+_LINEAR = _Candidate("linear", 2, _fit_linear, lambda x, p: _affine(x, p[0], p[1]))
+_RECIP = _swept("reciprocal", 4, _ramp, lambda t: 1.0 / t, _guard_away_from_zero, _wide,
+                _over(1))
+_RECIP2 = _swept("reciprocal_sq", 4, _ramp, lambda t: 1.0 / (t * t), _guard_away_from_zero,
+                 _wide, _over(2))
+_SQSHIFT = _swept("sq_shift", 3, lambda a, b, u: (a - u) * (a - u), lambda t: t, None,
+                  lambda lo, hi, pad: (lo - 3 * pad, hi + 3 * pad, 0.0, 0.0),
+                  lambda x, p: _affine(Pow(simplify(add(const(p[0]), Neg(x))), 2), p[1], p[2]))
+_EXP = _swept("exp", 3, _ramp, np.exp, _guard_exp, lambda lo, hi, pad: (-10.0, 10.0, 0.0, 0.0),
+              lambda x, p: _affine(Call("exp", simplify(mul(const(p[0]), x))), p[1], p[2]))
+_GAUSS = _swept("gauss", 4, lambda k, m, u: -k * (u - m) * (u - m), np.exp, None,
+                lambda lo, hi, pad: (0.1, 30.0, lo - pad, hi + pad), _build_gauss)
+_COS = _swept("cos", 4, _ramp, np.cos, None, _wide, _called("cos"))
+_TAN = _swept("tan", 4, _ramp, np.tan, _guard_tan, _wide, _called("tan"))
+_TANH = _swept("tanh", 4, _ramp, np.tanh, None, _wide, _called("tanh"))
+_LOG = _swept("log", 4, _ramp, np.log, _guard_positive, _wide, _called("log"))
 
 #: Candidate order is the tie-break order: earlier wins on equal score.
 SIMPLE_LIBRARY: tuple[_Candidate, ...] = (_CONSTANT, _LINEAR, _RECIP, _RECIP2)
@@ -525,6 +480,16 @@ COMPLEX_LIBRARY: tuple[_Candidate, ...] = (
     _TAN,
     _LOG,
 )
+
+#: Each distillation regime's hidden width and snap library.
+_REGIMES = {"simple": (2, SIMPLE_LIBRARY), "complex": (3, COMPLEX_LIBRARY)}
+
+
+def _regime(name: str) -> tuple[int, tuple[_Candidate, ...]]:
+    """(hidden width, snap library) of a distillation regime."""
+    if name not in _REGIMES:
+        raise InvalidParam(f"regime must be one of {'|'.join(_REGIMES)}, got {name!r}")
+    return _REGIMES[name]
 
 
 @dataclass(frozen=True)
@@ -576,14 +541,6 @@ def edge_function(net: KanNetwork, layer: int, out_index: int, in_index: int, u)
     )
 
 
-def _resolve_library(library) -> tuple[_Candidate, ...]:
-    if library == "simple":
-        return SIMPLE_LIBRARY
-    if library == "complex":
-        return COMPLEX_LIBRARY
-    return tuple(library)
-
-
 def kan_snap(
     net: KanNetwork,
     x_sample,
@@ -609,7 +566,7 @@ def kan_snap(
     max absolute disagreement with the network over ``x_sample``.
     """
     x = model_rows(x_sample, net.n_inputs)
-    candidates = _resolve_library(library)
+    candidates = _regime(library)[1] if isinstance(library, str) else tuple(library)
     if var_indices is None:
         var_indices = tuple(range(1, net.n_inputs + 1))
     if len(var_indices) != net.n_inputs:
@@ -680,11 +637,7 @@ def kan_snap(
 
 def regime_layout(regime: str, n_inputs: int) -> tuple[int, ...]:
     """Network layout used for a distillation regime."""
-    if regime == "simple":
-        return (n_inputs, 2, 1)
-    if regime == "complex":
-        return (n_inputs, 3, 1)
-    raise InvalidParam(f"regime must be 'simple' or 'complex', got {regime!r}")
+    return (n_inputs, _regime(regime)[0], 1)
 
 
 @dataclass(frozen=True)

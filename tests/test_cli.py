@@ -254,6 +254,8 @@ CORRUPTIONS = {
     "split-emptied": ("split.json", _emptied),
     "split-type-swapped": ("split.json", _listed),
     "split-train-not-a-list": ("split.json", _edited("train", value=3)),
+    "split-ratio-nan": ("split.json", _edited("ratio", value="nan")),
+    "split-seed-negative": ("split.json", _edited("seed", value=-1)),
     "scaler-truncated": ("scaler.json", _truncated),
     "scaler-emptied": ("scaler.json", _emptied),
     "scaler-type-swapped": ("scaler.json", _listed),
@@ -280,6 +282,9 @@ CORRUPTIONS = {
     "shap-global-truncated": ("shap_global.json", _truncated),
     "shap-global-model-unknown": ("shap_global.json", _edited("model", value="x")),
     "shap-global-n-instances-negative": ("shap_global.json", _edited("n_instances", value=-1)),
+    "shap-global-background-rows-zero": ("shap_global.json", _edited("background_rows", value=0)),
+    "shap-global-importance-missing-a-feature": ("shap_global.json",
+                                                 _edited("importance", "prcp", drop=True)),
     "r2-curve-short-row": ("r2_curve.csv", lambda text, name: text + "7,0.5\n"),
     "r2-curve-nan-row": ("r2_curve.csv", lambda text, name: text + "7,nan,1\n"),
     "report-profiles-first-line-only": ("profiles.jsonl",
@@ -702,6 +707,38 @@ def test_non_finite_csv_value_is_schema_mismatch(csv_inputs, tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record == {"error": "SchemaMismatch", "message": "line 4: bad temp_c value 'nan'"}
     assert not (out / "profiles.jsonl").exists()
+
+
+def test_kan_run_with_constant_test_targets_has_no_curve(tmp_path, capsys):
+    # One reservoir and three profiles; the isothermal one is the whole test
+    # split, so no record has a test r2 and the curve has no rows.
+    obs = ["reservoir_id,date,site_id,depth_m,temp_c"]
+    for day in (10, 11, 12):
+        for depth in (0.5, 2.0, 5.0, 9.0):
+            temp = 10.0 if day == 10 else 20.0 - 0.9 * depth + 0.3 * (day - 10)
+            obs.append(f"alpha,2020-06-{day},s1,{depth},{temp}")
+    daily = ["reservoir_id,date,air_temp_c,prcp_mm,wind_ms,vol_lake,inflow_lake"]
+    daily += [f"alpha,2020-06-{day:02d},{15 + 0.2 * day},1.5,3.0,2.0e6,4.0" for day in range(1, 15)]
+    morph = ["reservoir_id,surface_area_m2,max_depth_m", "alpha,5.0e6,30.0"]
+    for name, lines in (("obs", obs), ("daily", daily), ("morph", morph)):
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    base = ["--out", str(out)]
+    assert main(["ingest", "--observations", str(tmp_path / "obs.csv"),
+                 "--daily", str(tmp_path / "daily.csv"),
+                 "--morphometry", str(tmp_path / "morph.csv")] + base) == 0
+    assert json.loads((out / "split.json").read_text())["test"] == [["alpha", "2020-06-10", "s1"]]
+    capsys.readouterr()
+    assert main(["kan-run", "--kan-ordering", "1,2", "--kan-seeds", "0", "--kan-steps", "20"]
+                + base) == 0
+    assert capsys.readouterr().out == "kan-run: 2 runs, test r2 undefined\n"
+    records = [json.loads(line) for line in (out / "kan_records.jsonl").read_text().splitlines()]
+    assert [r["r2_test"] for r in records] == [None, None]
+    assert (out / "r2_curve.csv").read_text() == "n_inputs,mean_r2_test,n_seeds\n"
+    assert main(["report"] + base) == 0
+    report = (out / "report.md").read_text()
+    assert "- test r2 undefined: every test target is the same value\n" in report
+    assert "mean test r2 |" not in report
 
 
 def test_file_ingest_requires_all_paths(tmp_path, capsys):

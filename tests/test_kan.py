@@ -453,6 +453,84 @@ def test_snap_complex_library_matches_captured_fits(small_xy):
     assert to_text(expr) == SNAP_3_3_1_TEXT
 
 
+#: Each library entry's own form with seeded parameters (``r`` draws them).
+_ENTRY_FORMS = {
+    "constant": lambda r, u: np.full_like(u, r.uniform(-1, 1)),
+    "linear": lambda r, u: r.uniform(-2, 2) * u + r.uniform(-1, 1),
+    "reciprocal": lambda r, u: r.uniform(-1, 1) / (r.uniform(1, 3) * u + r.uniform(0.5, 2)),
+    "reciprocal_sq": lambda r, u: r.uniform(-1, 1) / (r.uniform(1, 3) * u + r.uniform(0.5, 2)) ** 2,
+    "sq_shift": lambda r, u: r.uniform(-1, 1) * (r.uniform(0.2, 0.8) - u) ** 2,
+    "exp": lambda r, u: r.uniform(-1, 1) * np.exp(r.uniform(-3, 3) * u),
+    "gauss": lambda r, u: r.uniform(-1, 1) * np.exp(-r.uniform(5, 20)
+                                                     * (u - r.uniform(0.3, 0.7)) ** 2),
+    "cos": lambda r, u: r.uniform(-1, 1) * np.cos(r.uniform(2, 8) * u + r.uniform(-1, 1)),
+    "tanh": lambda r, u: r.uniform(-1, 1) * np.tanh(r.uniform(2, 8) * u + r.uniform(-4, 0)),
+    "tan": lambda r, u: r.uniform(-1, 1) * np.tan(r.uniform(1, 2) * (u - 0.5)),
+    "log": lambda r, u: r.uniform(-1, 1) * np.log(r.uniform(1, 5) * u + r.uniform(0.2, 1)),
+}
+
+#: Each entry's fit of a noisy edge drawn from its own form (see the test),
+#: captured with the candidate fitters that wrote each form by hand (numpy
+#: 2.4, x86-64): (params, r2, built expression).
+ENTRY_FITS = {
+    "constant": ((0.6704430546715471,), 0.0, "0.6704430546715471"),
+    "linear": ((1.7712405323714815, -0.2804888241619393), 0.999604090789531,
+               "1.7712405323714815*x1 - 0.2804888241619393"),
+    "reciprocal": ((10.11574074074074, 8.287037037037036, -3.2542906480730647,
+                    0.0015298326846775456), 0.9715299381402371,
+                   "-3.2542906480730647/(10.11574074074074*x1 + 8.287037037037036) + "
+                   "0.0015298326846775456"),
+    "reciprocal_sq": ((-7.222222222222223, -3.749999999999999, -8.839728159267176,
+                       -0.003164655042861314), 0.9952137814156746,
+                      "-8.839728159267176/(-(7.222222222222223*x1) - 3.749999999999999)^2 - "
+                      "0.003164655042861314"),
+    "sq_shift": ((0.6161265432098769, 0.6856571267399316, -0.0003915940951978031),
+                 0.980701390109931,
+                 "0.6856571267399316*(-x1 + 0.6161265432098769)^2 - 0.0003915940951978031"),
+    "exp": ((2.9475308641975317, 0.27683019691788885, -0.0010935459297221062),
+            0.9999399073874771,
+            "0.27683019691788885*exp(2.9475308641975317*x1) - 0.0010935459297221062"),
+    "gauss": ((5.6716435185185174, 0.34953703703703703, 0.9579986789096628,
+               0.0073555851106399395), 0.9987348334109456,
+              "0.9579986789096628*exp(-(5.6716435185185174*(x1 - 0.34953703703703703)^2)) + "
+              "0.0073555851106399395"),
+    "cos": ((-4.861111111111111, -0.011574074074074063, 0.2976284385110366,
+             0.000685428476185912), 0.9974685373194018,
+            "0.2976284385110366*cos(-(4.861111111111111*x1) - 0.011574074074074063) + "
+            "0.000685428476185912"),
+    "tanh": ((5.817901234567903, -3.541666666666666, 0.7123283481900454,
+              0.0008240507550297815), 0.9996384808591818,
+             "0.7123283481900454*tanh(5.817901234567903*x1 - 3.541666666666666) + "
+             "0.0008240507550297815"),
+    "tan": ((1.8672839506172854, -0.9259259259259247, 0.08458630439601385,
+             -0.0017309066567881832), 0.9741611980638676,
+            "0.08458630439601385*tan(1.8672839506172854*x1 - 0.9259259259259247) - "
+            "0.0017309066567881832"),
+    "log": ((4.691358024691358, 1.1689814814814823, 0.8545004089225308,
+             -0.3589004124969064), 0.9992661171373736,
+            "0.8545004089225308*log(4.691358024691358*x1 + 1.1689814814814823) - "
+            "0.3589004124969064"),
+}
+
+
+@pytest.mark.parametrize("index", range(len(COMPLEX_LIBRARY)),
+                         ids=[cand.name for cand in COMPLEX_LIBRARY])
+def test_every_library_entry_fits_its_own_form_as_captured(index):
+    # SNAP_3_3_1 never selects constant, reciprocal, reciprocal_sq, sq_shift
+    # or log; here every entry fits a seeded noisy edge of its own form.
+    cand = COMPLEX_LIBRARY[index]
+    r = np.random.default_rng(100 + index)
+    u = np.linspace(0.0, 1.0, 256)
+    v = _ENTRY_FORMS[cand.name](r, u) + 0.01 * r.normal(size=u.size)
+    params, pred = cand.fit(u, v)
+    want_params, want_r2, want_text = ENTRY_FITS[cand.name]
+    assert tuple(float(p) for p in params) == want_params
+    assert abs(kan_module._edge_r2(v, pred) - want_r2) <= 1e-15
+    built = cand.build(Var(1), params)
+    assert to_text(built) == want_text
+    assert np.abs(eval_expression(built, {1: u}) - pred).max() < 1e-9
+
+
 def _reference_snap(net, x, library, param_penalty):
     """kan_snap with every candidate fitted on every edge: the oracle for its skip."""
     _, caches = _forward_full(net, x)
