@@ -113,6 +113,9 @@ class RunConfig:
                      "shap_instances", "shap_background", "kan_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("synth_seed", "split_seed", "model_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.synth_samples < 4:
             raise ConfigError("synth_samples must be >= 4, the fewest that form a profile")
         if self.kan_grid < 4:
@@ -129,6 +132,8 @@ class RunConfig:
             raise ConfigError(f"kan_seeds must be comma-separated integers, got {self.kan_seeds!r}")
         if not seeds:
             raise ConfigError("kan_seeds is empty")
+        if min(seeds) < 0:
+            raise ConfigError(f"kan_seeds must be >= 0, got {self.kan_seeds!r}")
         return seeds
 
     def kan_ordering_list(self) -> tuple[int, ...]:

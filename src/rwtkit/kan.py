@@ -127,7 +127,7 @@ class KanNetwork:
         axis 1 is the prediction.
         """
         batch = model_rows(x, self.n_inputs)
-        return _edge_out(self, 0, batch, self.basis.evaluate(batch)).transpose(0, 2, 1)
+        return _edge_out(self, 0, batch, self.basis.evaluate(batch)).transpose(1, 0, 2)
 
     def head(self, s: np.ndarray) -> np.ndarray:
         """Prediction from first-layer node values (n, width)."""
@@ -159,16 +159,31 @@ def kan_init(
     )
 
 
+def _spline(bas: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Spline sums (P, n, Q) of a basis (n, P, K) against coefficients (Q, P, K).
+
+    One batched ``np.matmul`` over the input axis: input p's (n, K) basis
+    block times its (K, Q) coefficient block.
+    """
+    return bas.transpose(1, 0, 2) @ coefs.transpose(1, 2, 0)
+
+
 def _edge_out(net: KanNetwork, l: int, a: np.ndarray, bas: np.ndarray) -> np.ndarray:
-    """Edge outputs (n, Q, P) of layer ``l`` from its inputs and their basis."""
-    spline = np.einsum("npk,qpk->nqp", bas, net.coefs[l])
-    return spline + net.bypass[l][np.newaxis, :, :] * a[:, np.newaxis, :]
+    """Edge outputs (P, n, Q) of layer ``l`` from its inputs and their basis.
+
+    The kernel is :func:`_spline`, a batched ``np.matmul`` over the input
+    axis, so the outputs come input-major: ``[p, i, q]`` is the edge from
+    input p to node q at row i, and a node's value is the sum over axis 0.
+    """
+    out = _spline(bas, net.coefs[l])
+    out += net.bypass[l].T[:, np.newaxis, :] * a.T[:, :, np.newaxis]
+    return out
 
 
 def _propagate(net: KanNetwork, a: np.ndarray, start: int) -> np.ndarray:
     """Prediction from the inputs ``a`` of layer ``start``, values only."""
     for l in range(start, len(net.layout) - 1):
-        a = _edge_out(net, l, a, net.basis.evaluate(a)).sum(axis=2)
+        a = _edge_out(net, l, a, net.basis.evaluate(a)).sum(axis=0)
     return a[:, 0]
 
 
@@ -188,11 +203,11 @@ def _forward_full(net: KanNetwork, x: np.ndarray, bas0: np.ndarray | None = None
             edge_slope = None
         else:
             bas, dbas = basis.evaluate_with_derivative(a)
-            dspline = np.einsum("npk,qpk->nqp", dbas, net.coefs[l])
-            edge_slope = dspline + net.bypass[l][np.newaxis, :, :]
+            edge_slope = _spline(dbas, net.coefs[l])  # (P, n, Q), as edge_out
+            edge_slope += net.bypass[l].T[:, np.newaxis, :]
         edge_out = _edge_out(net, l, a, bas)
         caches.append({"a": a, "bas": bas, "edge_out": edge_out, "edge_slope": edge_slope})
-        a = edge_out.sum(axis=2)               # (n, Q)
+        a = edge_out.sum(axis=0)               # (n, Q)
     return a[:, 0], caches
 
 
@@ -208,19 +223,21 @@ def _loss_and_grads(net: KanNetwork, x: np.ndarray, y: np.ndarray, lam: float,
     err = pred - y
     loss = float(np.mean(err * err))
     for cache in caches:
-        loss += lam * float(np.mean(np.abs(cache["edge_out"]), axis=0).sum())
+        loss += lam * float(np.abs(cache["edge_out"]).sum()) / n
     grads_c = []
     grads_b = []
     upstream = (2.0 / n) * err[:, np.newaxis]  # (n, Q) gradient w.r.t. layer output
     for l in range(len(net.layout) - 2, -1, -1):
         cache = caches[l]
-        # d loss / d edge_out = upstream (every edge feeds its node's sum)
-        # plus the sparsity term's own sign contribution
-        s = upstream[:, :, np.newaxis] + (lam / n) * np.sign(cache["edge_out"])
-        grads_c.append(np.einsum("nqp,npk->qpk", s, cache["bas"]))
-        grads_b.append(np.einsum("nqp,np->qp", s, cache["a"]))
+        # d loss / d edge_out (P, n, Q) = upstream (every edge feeds its
+        # node's sum) plus the sparsity term's own sign contribution
+        s = upstream + (lam / n) * np.sign(cache["edge_out"])
+        # per input p: (Q, n) @ (n, K) and (Q, n) @ (n, 1), summing over rows
+        s_t = s.transpose(0, 2, 1)
+        grads_c.append((s_t @ cache["bas"].transpose(1, 0, 2)).transpose(1, 0, 2))
+        grads_b.append((s_t @ cache["a"].T[:, :, np.newaxis])[:, :, 0].T)
         if l > 0:
-            upstream = np.einsum("nqp,nqp->np", s, cache["edge_slope"])
+            upstream = (s * cache["edge_slope"]).sum(axis=2).T
     grads_c.reverse()
     grads_b.reverse()
     return loss, grads_c, grads_b
@@ -575,7 +592,7 @@ def kan_snap(
         )
     inputs = [x]  # each layer's inputs, from values only, as in _propagate
     for l in range(len(net.layout) - 2):
-        inputs.append(_edge_out(net, l, inputs[-1], net.basis.evaluate(inputs[-1])).sum(axis=2))
+        inputs.append(_edge_out(net, l, inputs[-1], net.basis.evaluate(inputs[-1])).sum(axis=0))
     exprs: list[Expr] = [Var(int(i)) for i in var_indices]
     reports: list[EdgeReport] = []
     for l, a in enumerate(inputs):

@@ -175,6 +175,21 @@ def test_too_few_synthetic_samples_is_usage_error(capsys, tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--synthetic", "--synth-seed", "-1"],
+    ["ingest", "--synthetic", "--split-seed", "-1"],
+    ["train", "--model", "rf", "--preset", "quick", "--model-seed", "-1"],
+    ["kan-run", "--kan-seeds=0,-3"],
+], ids=["synth-seed", "split-seed", "model-seed", "kan-seeds"])
+def test_negative_seed_is_usage_error(capsys, tmp_path, argv):
+    # numpy's generators take no negative seed; the option is refused before
+    # any work, with no traceback
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rwtkit:") and "must be >= 0" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_missing_run_directory(capsys, tmp_path):
     rc = main(["evaluate", "--out", str(tmp_path / "never_made")])
     assert rc == 1
@@ -361,9 +376,9 @@ EXPLAIN_SHA256 = {
     ("gbm", "shap_global.json"): "245e707fe997f38e6e16e500e0489a6d83247053fd5a4d31967dac9fb8ed71c6",
     ("gbm", "shap_heatmap.csv"): "01d899d8455679c01ce76e5281ec73436dbf8ea616c37ed2ab00423300b5e793",
     ("gbm", "shap_summary.csv"): "1bfde57ee59dcd451a9c62cc3d96c9d32b4019bb2e01cea9fa94d6e008341c91",
-    ("kan", "shap_global.json"): "82ce97fbb797e6525043924be60af442742404207dfa42bdf7e4841742836185",
-    ("kan", "shap_heatmap.csv"): "a57d3e3f2c90d3ba04d11b885ef0298dbb4cd203aff401e46e02d2785cf6335a",
-    ("kan", "shap_summary.csv"): "4eea92015a575237076622e0d4aa23942f6fcba7818b158bd631b6a05b960cf6",
+    ("kan", "shap_global.json"): "9cb5f5660abe4c4b204006ecc93524f2b45f57bac213db2c0b3eb512a8237e6d",
+    ("kan", "shap_heatmap.csv"): "2210cf53d4fc3216ba77a4e586307ae48ccd5cffd6d3ccdc4cdc110e74615d10",
+    ("kan", "shap_summary.csv"): "7cdc16c3cbdd14e1a5a7483995609d145b081dee8b28c1942d9b839f5bf48dac",
     ("mlp", "shap_global.json"): "b52c5830d8587f40cf74f1e70d40d41aeea11dac66292a39d9e3b14dc729ca24",
     ("mlp", "shap_heatmap.csv"): "0337afa0a5513b9e773f98b35581e6e6f41275adee645d2fe75bcf37e83675be",
     ("mlp", "shap_summary.csv"): "3aad8fe555f5f0345407f3d315f009270b483d92f2514fc8b69d658380365459",
@@ -416,8 +431,8 @@ def test_explain_on_a_short_test_split_warns(tmp_path, capsys):
 #: SHA-256 of a complex-regime kan-run on 40 synthetic profiles (x86-64 Linux,
 #: numpy 2.4).  Any change to spline training or snapping shows up here.
 KAN_RUN_SHA256 = {
-    "kan_records.jsonl": "d9d201808425d1a84d8645f3b66fed091de8764f6b84bf6347739b755e6749e1",
-    "r2_curve.csv": "d0d06d25021f2b2ff29626c5f55333dc80146c120199c1c1c16c5dc545de508d",
+    "kan_records.jsonl": "5296ecfa78ed00c640118197e98d12a8d3c3a39f86f3bec49cc88f095853de48",
+    "r2_curve.csv": "df4d301836cf2a18c7b1076e8e74b5993e3b28bec18d493cc99274e24cc92832",
 }
 
 
@@ -531,18 +546,18 @@ PIPELINE_SHA256 = {
     "explain.manifest.json": "907b9ed3f7ebb25bd2799031797dc9bb54818baffd893c33441b59455d343758",
     "ingest.manifest.json": "2a83340c7baf9dbdcc4af61c9b583645ab6b74d1fa61c985a1410fae47f06ea9",
     "ingest_notes.json": "ed1549888ecb8d2aa742079009becf8cb923ac5914a3b5211ce9d3aa7cb104d6",
-    "kan_records.jsonl": "25faf94e2ffba5348e523bbda26366f3083f9465fdcf781c0c2003f249c68940",
+    "kan_records.jsonl": "bf24aaddabfb2b431d9a9d65fe3f628f9bac4b39862c8e1d665e966a2e23e098",
     "kan_run.manifest.json": "032ffeb0fabb11c1309d74903d14bd546d0207811d22ec3552b55e138a08a21e",
-    "metrics.json": "623053ab2475797f35b3ff07cb488c41e75efeecfa98f0ed930037cec665487c",
+    "metrics.json": "3f8fc1c272bead2060b7a20d05bd687547148a4a57f3bcd240b8393e4c8794fa",
     "model_cart.json": "6393ed62dcc9e230d75fa228416b5391b3c2cd49fe03272c3839fdc1182a41d7",
     "model_gbm.json": "6901966e5292ee373cba44ab893f880248f1e4bf05b28a258a9f4060452e015b",
-    "model_kan.json": "65cb34c37be93f27dbb96c0ffbeb4374f8c8633686fe8b8bf7db580151178fd8",
+    "model_kan.json": "3440e02b60b7ef202eb762c09c0e13ebf1443249c2db0c9cb5b06a55fc7d470a",
     "model_mlp.json": "8826d97195dce993072dd1c9c6d35057cfa5dc582051a4a0cdf369577725dd4f",
     "model_rf.json": "f6d246a9026817eaab38156e09713a1a0df3455a34d74701c5556622b97e8af4",
-    "per_reservoir.csv": "363213c512b93c844a48ec8506d2e795333923c649d925956c096fc9646ea745",
+    "per_reservoir.csv": "806b109b9a4fed1beede061471e5a7a2fc248539ba6a79ca091ff0d48574318d",
     "profiles.jsonl": "e2adb13948adfb42fc2442e512009829ffcf2851295da92c74fe6737bb232d19",
     "qq.csv": "f4872c13f7d878ac2b99d62077f6682b9396b0474576c3c2c405f0e8057f9791",
-    "r2_curve.csv": "6fe8893a35799eba6bb8408464db1a35b7ee7b42a2fd18ca35e17147a05e9629",
+    "r2_curve.csv": "47793e5c6d1b520c9a0d5029396a30be5689e5d7a25a82f5050ca4e936cfa67e",
     "report.manifest.json": "4e98aae87c456e8fe4c4ab2fd34e7e9ec10e47c90a937321849547d90751243b",
     "report.md": "8bf028c6a47e6ffd79b78ef24ac78a3fbd7f522f9bf36480539e6937d567cec6",
     "scaler.json": "29cd1b7678782d03c21b68328d102bd8c2ff18f11a6baf2d3834e625674f79e6",
@@ -555,7 +570,7 @@ PIPELINE_SHA256 = {
     "train_cart.manifest.json": "4f6933da199078ea15604d6b6617e58be76dede417ed95d8db0755bb7d494e35",
     "train_gbm.json": "203c6d6e94287006d732a87e6c32637d7c9d5488b07742ff7bbee8581c9769a9",
     "train_gbm.manifest.json": "689cbf236838c2975c9a3153904029fd36302afb9c0e035a408976d71437293b",
-    "train_kan.json": "ec69276eb5db844bef66bb48cc3a75a2af0763aee7fcd5c3acf5453540179b59",
+    "train_kan.json": "d976df811636cbeae0b4262def74e320194eed19f017e7a8c3c652a049ecb9e1",
     "train_kan.manifest.json": "62e291814b0646400ed9df459e0ec855d96a981ec7cf351ba65dae2f825067b9",
     "train_mlp.json": "565a86d617fa53fb5ef602bfd15828245101de83f1b0d80de9a3424d71fbb8a6",
     "train_mlp.manifest.json": "d41efb2d0fd58f3f52d8130f545590a0ab73b122283de0ca22fc17c3072618dc",

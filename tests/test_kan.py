@@ -4,8 +4,11 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +245,115 @@ def test_divergence_raises(small_xy):
         kan_train(net, x, y, steps=200, learning_rate=1e4, lam=1e-3)
 
 
+# --- the einsum oracle for the matmul kernel ---------------------------------
+
+
+def _einsum_edge_out(net, l, a, bas):
+    """Edge outputs (n, Q, P) by ``np.einsum``, the kernel the matmul replaced."""
+    spline = np.einsum("npk,qpk->nqp", bas, net.coefs[l])
+    return spline + net.bypass[l][np.newaxis, :, :] * a[:, np.newaxis, :]
+
+
+def _einsum_propagate(net, a, start):
+    for l in range(start, len(net.layout) - 1):
+        a = _einsum_edge_out(net, l, a, net.basis.evaluate(a)).sum(axis=2)
+    return a[:, 0]
+
+
+def _einsum_loss_and_grads(net, x, y, lam):
+    """Loss and gradients with every contraction an ``np.einsum``."""
+    n = len(x)
+    caches = []
+    a = x
+    for l in range(len(net.layout) - 1):
+        if l == 0:
+            bas, slope = net.basis.evaluate(a), None
+        else:
+            bas, dbas = net.basis.evaluate_with_derivative(a)
+            slope = np.einsum("npk,qpk->nqp", dbas, net.coefs[l]) + net.bypass[l][np.newaxis]
+        edge_out = _einsum_edge_out(net, l, a, bas)
+        caches.append((a, bas, edge_out, slope))
+        a = edge_out.sum(axis=2)
+    err = a[:, 0] - y
+    loss = float(np.mean(err * err))
+    for cache in caches:
+        loss += lam * float(np.mean(np.abs(cache[2]), axis=0).sum())
+    grads_c, grads_b = [], []
+    upstream = (2.0 / n) * err[:, np.newaxis]
+    for l in range(len(net.layout) - 2, -1, -1):
+        a, bas, edge_out, slope = caches[l]
+        s = upstream[:, :, np.newaxis] + (lam / n) * np.sign(edge_out)
+        grads_c.insert(0, np.einsum("nqp,npk->qpk", s, bas))
+        grads_b.insert(0, np.einsum("nqp,np->qp", s, a))
+        if l > 0:
+            upstream = np.einsum("nqp,nqp->np", s, slope)
+    return loss, grads_c, grads_b
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
+
+
+ORACLE_LAYOUTS = [(1, 3, 1), (3, 3, 1), (10, 2, 1), (4, 3, 2, 1), (5, 4, 3, 1)]
+
+
+def _random_net(layout, seed):
+    """A network with random spline coefficients and bypass weights."""
+    rng = np.random.default_rng(seed)
+    net = kan_init(layout, seed=seed)
+    return replace(net, coefs=tuple(rng.normal(0.0, 0.3, size=c.shape) for c in net.coefs),
+                   bypass=tuple(b + rng.normal(0.0, 0.1, size=b.shape) for b in net.bypass))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 0.1])
+@pytest.mark.parametrize("layout", ORACLE_LAYOUTS)
+def test_matmul_step_matches_einsum_oracle(layout, lam):
+    rng = np.random.default_rng(len(layout) * 10 + layout[0])
+    net = _random_net(layout, seed=layout[0])
+    x = rng.uniform(-0.5, 1.5, size=(50, layout[0]))
+    y = rng.normal(size=50)
+    loss, gc, gb = _loss_and_grads(net, x, y, lam)
+    want_loss, want_gc, want_gb = _einsum_loss_and_grads(net, x, y, lam)
+    _assert_rel_close(loss, want_loss)
+    for got, want in zip(gc + gb, want_gc + want_gb):
+        _assert_rel_close(got, want)
+    _assert_rel_close(net.predict(x), _einsum_propagate(net, x, 0))
+    terms = net.input_terms(x)
+    _assert_rel_close(terms, _einsum_edge_out(net, 0, x, net.basis.evaluate(x)).transpose(0, 2, 1))
+    hidden = terms.sum(axis=1)
+    _assert_rel_close(net.head(hidden), _einsum_propagate(net, hidden, 1))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 0.1])
+@pytest.mark.parametrize("layout", ORACLE_LAYOUTS)
+def test_matmul_training_matches_einsum_oracle(layout, lam):
+    # At a learning rate of 0.1 the lam = 0.1 runs oscillate, and any
+    # last-bit difference grows to 2e-7 by step 200 whichever kernel makes
+    # it; at 0.02 descent is smooth and the two kernels stay within 2e-15.
+    rng = np.random.default_rng(layout[0])
+    x = rng.uniform(-0.5, 1.5, size=(60, layout[0]))
+    y = 0.3 * np.sin(2.0 * x[:, 0]) + 0.1 * x.sum(axis=1)
+    net = kan_init(layout, seed=layout[0])
+    trained, trace = kan_train(net, x, y, steps=200, learning_rate=0.02, lam=lam)
+    coefs = [c.copy() for c in net.coefs]
+    bypass = [b.copy() for b in net.bypass]
+    current = replace(net, coefs=tuple(coefs), bypass=tuple(bypass))
+    want_trace = []
+    for _ in range(200):
+        loss, gc, gb = _einsum_loss_and_grads(current, x, y, lam)
+        want_trace.append(loss)
+        for l in range(len(coefs)):
+            coefs[l] -= 0.02 * gc[l]
+            bypass[l] -= 0.02 * gb[l]
+    assert trace[-1] < trace[0]
+    for got, want in zip(trace, want_trace):
+        _assert_rel_close(got, want)
+    for got, want in zip(trained.coefs + trained.bypass, current.coefs + current.bypass):
+        _assert_rel_close(got, want)
+
+
 def _max_edge_abs_mean_on_data(net, x):
     """Largest per-edge mean |output| over the inputs each edge actually sees.
 
@@ -384,47 +496,48 @@ def test_snap_complex_library_handles_gaussian_bump():
     assert np.abs(values - target).max() < 0.02
 
 
-#: Edge fits of the seeded (3, 3, 1) network below, captured from the dense
-#: basis and the full 25 x 25 sweep (numpy 2.4, x86-64): (layer, out, in,
-#: candidate, r2, params).  The exp and sq_shift sweeps hold their second
-#: parameter at 0, so they may not pick a different first parameter.
+#: Edge fits of the seeded (3, 3, 1) network below, trained through the
+#: batched-matmul kernel and captured from the dense basis and the full
+#: 25 x 25 sweep (numpy 2.4, x86-64): (layer, out, in, candidate, r2,
+#: params).  The exp and sq_shift sweeps hold their second parameter at 0, so
+#: they may not pick a different first parameter.
 SNAP_3_3_1 = [
-    (0, 0, 0, "tan", 0.9467012950814496,
-     (-2.465277777777778, 7.515432098765432, -0.08681936920183211, 0.14788479099798965)),
-    (0, 0, 1, "cos", 0.9472922700540082,
-     (-9.64891975308642, -2.681327160493827, 0.047154478988202415, 0.06254062132615612)),
-    (0, 0, 2, "exp", 0.8868608374073045,
-     (-2.20679012345679, 0.17810486011472682, -0.055211586057326796)),
+    (0, 0, 0, "tan", 0.94670129508145,
+     (-2.465277777777778, 7.515432098765432, -0.08681936920183218, 0.14788479099798962)),
+    (0, 0, 1, "cos", 0.9472922700540083,
+     (-9.64891975308642, -2.681327160493827, 0.0471544789882024, 0.06254062132615605)),
+    (0, 0, 2, "exp", 0.8868608374073041,
+     (-2.20679012345679, 0.17810486011472662, -0.055211586057326685)),
     (0, 1, 0, "gauss", 0.9807552721372194,
-     (6.109992283950616, 0.9593575608948659, 0.3372961233976582, -0.00037994558996032324)),
-    (0, 1, 1, "linear", 0.9363542688161415,
-     (0.19988378724799996, -0.024322310916136302)),
-    (0, 1, 2, "tanh", 0.8333782818335544,
-     (-11.990740740740739, 5.104166666666669, 0.021802726455633224, 0.0557418639313349)),
-    (0, 2, 0, "linear", 0.9856098132206483,
-     (0.6050861840137011, -0.06419780257454043)),
-    (0, 2, 1, "tan", 0.7268704031667848,
-     (-2.8472222222222223, -1.6242283950617278, 0.0072097992165562445, 0.0212146825772397)),
-    (0, 2, 2, "linear", 0.9512258966056939,
-     (-0.28389681123367466, 0.11419539650632637)),
+     (6.109992283950616, 0.9593575608948659, 0.33729612339765824, -0.0003799455899602955)),
+    (0, 1, 1, "linear", 0.9363542688161417,
+     (0.19988378724799993, -0.024322310916136288)),
+    (0, 1, 2, "tanh", 0.8333782818335546,
+     (-11.990740740740739, 5.104166666666669, 0.021802726455633213, 0.05574186393133497)),
+    (0, 2, 0, "linear", 0.9856098132206484,
+     (0.6050861840137011, -0.06419780257454048)),
+    (0, 2, 1, "tan", 0.726870403166785,
+     (-2.8472222222222223, -1.6242283950617278, 0.007209799216556234, 0.02121468257723977)),
+    (0, 2, 2, "linear", 0.9512258966056942,
+     (-0.2838968112336749, 0.11419539650632643)),
     (1, 0, 0, "tan", 0.9544198246858004,
-     (-3.5455246913580245, 0.8873456790123465, -0.1313279550531547, 0.10158708059800946)),
+     (-3.5455246913580245, 0.8873456790123465, -0.13132795505315453, 0.10158708059800937)),
     (1, 0, 1, "cos", 0.9986925662227762,
-     (-8.892746913580245, 4.108796296296298, 0.09111579706786224, 0.08083862857829381)),
-    (1, 0, 2, "linear", 0.9618702308522409,
-     (0.7306697187097202, -0.05543614850555205)),
+     (-8.892746913580245, 4.108796296296298, 0.09111579706786216, 0.08083862857829366)),
+    (1, 0, 2, "linear", 0.961870230852241,
+     (0.73066971870972, -0.055436148505552035)),
 ]
 SNAP_3_3_1_TEXT = (
-    "-(0.1313279550531547*tan(-(3.5455246913580245*(-(0.08681936920183211*tan("
+    "-(0.13132795505315453*tan(-(3.5455246913580245*(-(0.08681936920183218*tan("
     "-(2.465277777777778*x1) + 7.515432098765432)))) - "
-    "0.16718736956079483*cos(-(9.64891975308642*x2) - 2.681327160493827) - "
-    "0.631475179187631*exp(-(2.20679012345679*x3)) + 0.3370312255431851)) + "
-    "0.09111579706786224*cos(-(2.9994890603071065*exp(-(6.109992283950616*(x1 - "
-    "0.9593575608948659)^2))) - 1.777515932124382*x2 - "
-    "0.1938861283959667*tanh(-(11.990740740740739*x3) + 5.104166666666669) + "
-    "3.8327689231667676) + 0.44211815186842895*x1 + "
-    "0.005267981965514712*tan(-(2.8472222222222223*x2) - 1.6242283950617278) + "
-    "0.7306697187097202*(-(0.28389681123367466*x3)) + 0.1790222147162798"
+    "0.16718736956079477*cos(-(9.64891975308642*x2) - 2.681327160493827) - "
+    "0.6314751791876302*exp(-(2.20679012345679*x3)) + 0.337031225543185)) + "
+    "0.09111579706786216*cos(-(2.999489060307107*exp(-(6.109992283950616*(x1 - "
+    "0.9593575608948659)^2))) - 1.7775159321243819*x2 - "
+    "0.1938861283959666*tanh(-(11.990740740740739*x3) + 5.104166666666669) + "
+    "3.8327689231667663) + 0.44211815186842884*x1 + "
+    "0.005267981965514703*tan(-(2.8472222222222223*x2) - 1.6242283950617278) + "
+    "0.73066971870972*(-(0.2838968112336749*x3)) + 0.1790222147162796"
 )
 
 
@@ -802,6 +915,31 @@ def test_kan_run_bytes_do_not_depend_on_workers(monkeypatch, ingested_dir, tmp_p
                             ("kan_records.jsonl", "r2_curve.csv", "kan_run.manifest.json")}
     assert len(outputs[2]["kan_records.jsonl"].splitlines()) == 4
     assert outputs[2] == outputs[1]
+
+
+def test_spline_network_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # Every spline contraction is a BLAS matmul; the thread count OpenBLAS
+    # reads at start-up must not move a byte of the model or the records.
+    # 240 profiles give about 1000 training rows.
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        code = (
+            "from rwtkit.cli import main\n"
+            f"out = ['--out', {str(out)!r}]\n"
+            "assert main(['ingest', '--synthetic', '--synth-profiles', '240'] + out) == 0\n"
+            "assert main(['train', '--model', 'kan', '--preset', 'quick'] + out) == 0\n"
+            "assert main(['kan-run', '--kan-ordering', '1,3', '--kan-seeds', '0,1',\n"
+            "             '--kan-steps', '60', '--kan-grid', '5'] + out) == 0\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(kan_module.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       timeout=300, check=True)
+        outputs[threads] = {name: (out / name).read_bytes() for name in
+                            ("model_kan.json", "train_kan.json", "kan_records.jsonl",
+                             "r2_curve.csv")}
+    assert outputs["2"] == outputs["1"]
 
 
 def test_kan_run_diverging_in_pool_writes_error_record(monkeypatch, ingested_dir, tmp_path,
