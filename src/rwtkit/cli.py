@@ -23,10 +23,12 @@ import datetime
 import hashlib
 import json
 import math
+import operator
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -45,8 +47,8 @@ from .dataset import (
 )
 from .equation_bank import SET_NAMES, load_bank
 from .errors import NotFound, RwtError, SchemaMismatch
-from .features import Feature, ObservationProfile, Scaler, scaler_fit
-from .kan import incremental_experiment, kan_init, kan_train, regime_layout
+from .features import MIN_PROFILE_SAMPLES, Feature, ObservationProfile, Scaler, scaler_fit
+from .kan import REGIMES, incremental_experiment, kan_init, kan_train, regime_layout
 from .metrics import metrics, per_group_metrics, quantile_compare
 from .mlp import mlp_init, mlp_train
 from .serialize import from_state, load_model, reading, save_model, to_state
@@ -56,7 +58,28 @@ from .trees import BoostParams, ForestParams, TreeParams, gbm_fit, rf_fit, tree_
 __all__ = ["main", "RunConfig", "load_run_config"]
 
 MODEL_NAMES = ("cart", "rf", "gbm", "mlp", "kan")
-PRESETS = ("published", "quick")
+
+#: Each model kind's settings at each preset, recorded as the ``params`` of
+#: ``train_<model>.json``.  The network settings a kan preset leaves out come
+#: from the run config.
+_PRESET_PARAMS = {
+    "published": {
+        "cart": {"max_depth": 30},
+        "rf": {"n_estimators": 100, "max_features": 4, "max_depth": 30},
+        "gbm": {"n_estimators": 600, "learning_rate": 0.01, "max_depth": 9, "gamma": 0.3},
+        "mlp": {"layout": [len(Feature), 48, 48, 1], "epochs": 1000, "batch_size": 32,
+                "learning_rate": 0.01},
+        "kan": {},
+    },
+    "quick": {
+        "cart": {"max_depth": 6},
+        "rf": {"n_estimators": 20, "max_features": 4, "max_depth": 10},
+        "gbm": {"n_estimators": 60, "learning_rate": 0.1, "max_depth": 3, "gamma": 0.0},
+        "mlp": {"layout": [len(Feature), 16, 1], "epochs": 100, "batch_size": 32,
+                "learning_rate": 0.01},
+        "kan": {"steps": 300},
+    },
+}
 
 #: Display rule for humans (report, eq eval): 12 significant digits, enough
 #: to tell values apart without echoing last-ulp binary noise.  Machine
@@ -68,120 +91,119 @@ class ConfigError(ValueError):
     """Bad run configuration; reported as a usage error (exit 2)."""
 
 
+#: The test of each comparison a bound may make.
+_TESTS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+@dataclass(frozen=True)
+class Domain:
+    """The values an option may take, and so each artifact field echoing it: of
+    type ``kind``, finite if a float, within each of the ``bounds``, written as
+    they read (``">= 0"``), and one of the ``choices`` if there are any."""
+
+    kind: type = str
+    bounds: tuple[str, ...] = ()
+    choices: tuple[str, ...] = ()
+
+    def check(self, name: str, value) -> None:
+        if type(value) not in ((int, float) if self.kind is float else (self.kind,)):
+            admitted = False
+        elif self.choices:
+            admitted = value in self.choices
+        else:
+            admitted = (self.kind is not float or math.isfinite(value)) and all(
+                _TESTS[sign](value, float(bound)) for sign, bound in map(str.split, self.bounds))
+        if not admitted:
+            raise ConfigError(f"{name} must be {self.text() or 'a ' + self.kind.__name__}, "
+                              f"got {value!r}")
+
+    def text(self) -> str:
+        """What the domain asks beyond the kind, as it reads after "must be"."""
+        if self.choices:
+            return "one of " + "|".join(self.choices)
+        return " and ".join(["finite"] * (self.kind is float) + list(self.bounds))
+
+    def parse(self, name: str, text: str):
+        """``text`` as a value of this kind, checked against the domain."""
+        words = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+        try:
+            value = words[text.lower()] if self.kind is bool else self.kind(text)
+        except (KeyError, ValueError):
+            noun = {bool: "a boolean", int: "an integer", float: "a number"}[self.kind]
+            raise ConfigError(f"{name}: expected {noun}, got {text!r}")
+        self.check(name, value)
+        return value
+
+
+def _option(default, *bounds, choices=()):
+    """A run-config field: its default and its :class:`Domain`."""
+    return field(default=default, metadata={"domain": Domain(type(default), bounds, choices)})
+
+
 @dataclass
 class RunConfig:
     """Everything a pipeline run needs, file-loadable and flag-overridable."""
 
-    observations: str = ""
-    daily: str = ""
-    morphometry: str = ""
-    synthetic: bool = False
-    synth_profiles: int = 120
-    synth_samples: int = 6
-    synth_noise: float = 0.02
-    synth_reservoirs: int = 3
-    synth_seed: int = 11
-    scaler_mode: str = "fixed"
-    split_ratio: float = 0.70
-    split_seed: int = 42
-    model: str = "rf"
-    preset: str = "published"
-    model_seed: int = 0
-    shap_instances: int = 20
-    shap_background: int = 64
-    kan_regime: str = "simple"
-    kan_ordering: str = ""
-    kan_seeds: str = "0,1,2"
-    kan_steps: int = 1200
-    kan_lr: float = 0.5
-    kan_lam: float = 1e-3
-    kan_grid: int = 8
-    out: str = "run"
+    observations: str = _option("")
+    daily: str = _option("")
+    morphometry: str = _option("")
+    synthetic: bool = _option(False)
+    synth_profiles: int = _option(120, ">= 1")
+    synth_samples: int = _option(6, f">= {MIN_PROFILE_SAMPLES}")
+    synth_noise: float = _option(0.02, ">= 0")
+    synth_reservoirs: int = _option(3, ">= 1")
+    synth_seed: int = _option(11, ">= 0")
+    scaler_mode: str = _option("fixed", choices=Scaler.MODES)
+    split_ratio: float = _option(0.70, "> 0", "< 1")
+    split_seed: int = _option(42, ">= 0")
+    model: str = _option("rf", choices=MODEL_NAMES)
+    preset: str = _option("published", choices=tuple(_PRESET_PARAMS))
+    model_seed: int = _option(0, ">= 0")
+    shap_instances: int = _option(20, ">= 1")
+    shap_background: int = _option(64, ">= 1")
+    kan_regime: str = _option("simple", choices=tuple(REGIMES))
+    kan_ordering: str = _option("")
+    kan_seeds: str = _option("0,1,2")
+    kan_steps: int = _option(1200, ">= 1")
+    kan_lr: float = _option(0.5, "> 0")
+    kan_lam: float = _option(1e-3, ">= 0")
+    kan_grid: int = _option(8, ">= 4")  # the fewest a cubic spline basis takes
+    out: str = _option("run")
 
     def validate(self) -> None:
-        if self.scaler_mode not in ("fixed", "from_data"):
-            raise ConfigError(f"scaler_mode must be fixed|from_data, got {self.scaler_mode!r}")
-        if self.model not in MODEL_NAMES:
-            raise ConfigError(f"model must be one of {'|'.join(MODEL_NAMES)}, got {self.model!r}")
-        if self.preset not in PRESETS:
-            raise ConfigError(f"preset must be one of {'|'.join(PRESETS)}, got {self.preset!r}")
-        if self.kan_regime not in ("simple", "complex"):
-            raise ConfigError(f"kan_regime must be simple|complex, got {self.kan_regime!r}")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
-        for name in ("synth_profiles", "synth_reservoirs",
-                     "shap_instances", "shap_background", "kan_steps"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("synth_seed", "split_seed", "model_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.synth_samples < 4:
-            raise ConfigError("synth_samples must be >= 4, the fewest that form a profile")
-        if self.kan_grid < 4:
-            raise ConfigError("kan_grid must be >= 4, the fewest a cubic spline basis takes")
-        if not 0.0 <= self.synth_noise < math.inf:
-            raise ConfigError(f"synth_noise must be finite and >= 0, got {self.synth_noise}")
+        for f in dataclasses.fields(self):
+            f.metadata["domain"].check(f.name, getattr(self, f.name))
         self.kan_seed_list()
         self.kan_ordering_list()
 
     def kan_seed_list(self) -> tuple[int, ...]:
-        try:
-            seeds = tuple(int(s) for s in self.kan_seeds.split(",") if s.strip())
-        except ValueError:
-            raise ConfigError(f"kan_seeds must be comma-separated integers, got {self.kan_seeds!r}")
+        seeds = _items("kan_seeds", self.kan_seeds, _DOMAINS["model_seed"])
         if not seeds:
             raise ConfigError("kan_seeds is empty")
-        if min(seeds) < 0:
-            raise ConfigError(f"kan_seeds must be >= 0, got {self.kan_seeds!r}")
         return seeds
 
     def kan_ordering_list(self) -> tuple[int, ...]:
         """0-based feature columns in experiment order; empty means canonical."""
-        if not self.kan_ordering.strip():
-            return tuple(range(len(Feature)))
-        try:
-            numbers = tuple(int(s) for s in self.kan_ordering.split(",") if s.strip())
-        except ValueError:
-            raise ConfigError(
-                f"kan_ordering must be comma-separated feature numbers, got {self.kan_ordering!r}"
-            )
-        if sorted(numbers) != sorted(set(numbers)) or not all(
-            1 <= v <= len(Feature) for v in numbers
-        ):
-            raise ConfigError(f"kan_ordering must be distinct numbers in 1..10, got {numbers}")
-        return tuple(v - 1 for v in numbers)
+        numbers = _items("kan_ordering", self.kan_ordering,
+                         Domain(int, (">= 1", f"<= {len(Feature)}")))
+        if len(set(numbers)) < len(numbers):
+            raise ConfigError(f"kan_ordering must name each feature once, got {numbers}")
+        return tuple(v - 1 for v in numbers) or tuple(range(len(Feature)))
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+def _items(name: str, text: str, domain: Domain) -> tuple:
+    """The comma-separated values of ``text``, each checked against ``domain``."""
+    return tuple(domain.parse(name, item) for item in text.split(",") if item.strip())
 
 
-def _coerce(key: str, text: str):
-    kind = _FIELD_TYPES[key]
-    if kind == "bool":
-        low = text.strip().lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {text!r}")
-    if kind == "int":
-        try:
-            return int(text.strip())
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {text!r}")
-    if kind == "float":
-        try:
-            return float(text.strip())
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {text!r}")
-    return text.strip()
+_DOMAINS = {f.name: f.metadata["domain"] for f in dataclasses.fields(RunConfig)}
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     """Config file (``key = value`` lines, ``#`` comments) plus overrides.
 
-    Flags win over the file.  Unknown keys anywhere are rejected.
+    Flags win over the file, and a flag's text is read as a file value is.
+    Unknown keys anywhere are rejected; every value must be in its :class:`Domain`.
     """
     cfg = RunConfig()
     if path is not None:
@@ -196,15 +218,15 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES:
+            if key not in _DOMAINS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            setattr(cfg, key, _coerce(key, value))
+            setattr(cfg, key, _DOMAINS[key].parse(key, value))
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _FIELD_TYPES:
+        if key not in _DOMAINS:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, value)
+        setattr(cfg, key, _DOMAINS[key].parse(key, value) if isinstance(value, str) else value)
     cfg.validate()
     return cfg
 
@@ -304,45 +326,112 @@ def _profiles_jsonl(profile_set: ProfileSet) -> str:
     return _joined(lines)
 
 
-def _read_ingested(out_dir: Path, name: str, parse):
-    """``parse`` applied to the text of one ingest artifact.
+def _parse_profiles(docs: list) -> ProfileSet:
+    return ProfileSet(tuple(ObservationProfile(
+        reservoir_id=rec["reservoir"],
+        date=datetime.date.fromisoformat(rec["date"]),
+        site_id=rec["site"],
+        samples=tuple((float(d), float(t)) for d, t in rec["samples"]),
+        covariates={Feature[k]: float(v) for k, v in rec["covariates"].items()},
+    ) for rec in docs))
 
-    A missing file is :class:`NotFound`; one that fails to decode is
-    :class:`SchemaMismatch`.
-    """
+
+def _parse_split(doc: dict) -> SplitPlan:
+    train, test = (tuple((r, d, s) for r, d, s in doc[side]) for side in ("train", "test"))
+    return SplitPlan(train=train, test=test, ratio=doc["ratio"], seed=doc["seed"])
+
+
+def _metrics_section(doc: dict) -> list[str]:
+    return ["## Test metrics (degC)", "", *_md_table(["model", "rmse", "mae", "r2"], [
+        (name, _disp(float(row["rmse_c"])), _disp(float(row["mae_c"])),
+         "NA" if row["r2"] is None else _disp(float(row["r2"])))
+        for name, row in sorted(doc.items())])]
+
+
+def _attribution_section(doc: dict) -> list[str]:
+    if sorted(doc["importance"]) != sorted(f.name for f in Feature):
+        raise ValueError("importance does not name each of the ten features once")
+    ranked = sorted(doc["importance"].items(), key=lambda kv: kv[1]["rank"])
+    return [f"## Attribution ({doc['model']}, {doc['n_instances']} instances)", "",
+            *_md_table(["rank", "feature", "mean abs value", "share"], [
+                (row["rank"], name, _disp(float(row["mean_abs_shap"])),
+                 "NA" if row["percentage"] is None else _disp(float(row["percentage"])) + "%")
+                for name, row in ranked])]
+
+
+def _curve_section(rows: list) -> list[str]:
+    table = _md_table(["inputs", "mean test r2"],
+                      [(row["n_inputs"], _disp(row["mean_r2_test"])) for row in rows])
+    undefined = ["- test r2 undefined: every test target is the same value"]
+    return ["## Accuracy vs number of inputs", "", *(table if rows else undefined)]
+
+
+class _Artifact(NamedTuple):
+    """The command that writes an artifact; the domain of each top-level JSON key
+    or CSV column, ``None`` where ``decode`` checks it; the decoder of the checked
+    document (or list of lines or rows), which for a file only report reads gives
+    its report section; and the keys a file may lack."""
+
+    writer: str
+    fields: dict
+    decode: Callable = lambda doc: doc
+    optional: tuple[str, ...] = ()
+
+
+#: Every JSON and CSV artifact a command reads back.  The model files are in
+#: format 1, which only :func:`load_model` reads, so they declare no fields.
+_ARTIFACTS = {
+    **{f"model_{m}.json": _Artifact(f"train --model {m}", None) for m in MODEL_NAMES},
+    "profiles.jsonl": _Artifact("ingest", dict.fromkeys(
+        ("covariates", "date", "reservoir", "samples", "site")), _parse_profiles),
+    "split.json": _Artifact("ingest", {
+        "ratio": _DOMAINS["split_ratio"], "seed": _DOMAINS["split_seed"], "test": None,
+        "train": None}, _parse_split),
+    "scaler.json": _Artifact("ingest", {
+        **dict.fromkeys(f.name for f in dataclasses.fields(Scaler)),
+        "mode": _DOMAINS["scaler_mode"]}, lambda doc: from_state(Scaler, doc)),
+    "ingest_notes.json": _Artifact("ingest", {
+        "noise_sigma": Domain(str), "rejected_profiles": None, "truth": Domain(str),
+        "source": Domain(str, choices=("files", "synthetic"))}, optional=("noise_sigma", "truth")),
+    "metrics.json": _Artifact("evaluate", dict.fromkeys(MODEL_NAMES), _metrics_section),
+    "shap_global.json": _Artifact("explain", {
+        "background_rows": _DOMAINS["shap_background"], "importance": None,
+        "model": _DOMAINS["model"], "n_instances": Domain(int, (">= 0",))}, _attribution_section),
+    "r2_curve.csv": _Artifact("kan-run", {
+        "n_inputs": Domain(int, (">= 1",)), "mean_r2_test": Domain(float),
+        "n_seeds": Domain(int, (">= 1",))}, _curve_section),
+}
+
+
+def _read(out_dir: Path, name: str):
+    """One artifact of the run directory, checked against its schema and decoded.
+
+    A missing file is :class:`NotFound`, naming the command that writes it; one
+    that does not parse, lacks a field or holds a value outside its domain is
+    :class:`SchemaMismatch`."""
+    writer, fields, decode, optional = _ARTIFACTS[name]
     path = out_dir / name
     if not path.exists():
-        raise NotFound(f"{path} missing; run ingest first")
+        raise NotFound(f"{path} missing; run {writer} first")
+    if fields is None:
+        return load_model(path)
     with reading(path):
-        return parse(path.read_text())
-
-
-def _parse_profiles(text: str) -> ProfileSet:
-    profiles = []
-    for line in text.splitlines():
-        rec = json.loads(line)
-        profiles.append(
-            ObservationProfile(
-                reservoir_id=rec["reservoir"],
-                date=datetime.date.fromisoformat(rec["date"]),
-                site_id=rec["site"],
-                samples=tuple((float(d), float(t)) for d, t in rec["samples"]),
-                covariates={Feature[k]: float(v) for k, v in rec["covariates"].items()},
-            )
-        )
-    if not profiles:
-        raise ValueError("no profiles")
-    return ProfileSet(tuple(profiles))
-
-
-def _parse_split(text: str) -> SplitPlan:
-    rec = json.loads(text)
-    return SplitPlan(
-        train=tuple((r, d, s) for r, d, s in rec["train"]),
-        test=tuple((r, d, s) for r, d, s in rec["test"]),
-        ratio=float(rec["ratio"]),
-        seed=rec["seed"],
-    )
+        text = path.read_text()
+        if name.endswith(".csv"):
+            header, *rows = text.splitlines()
+            if header != ",".join(fields):
+                raise ValueError(f"header {header!r} is not {','.join(fields)!r}")
+            docs = [{key: fields[key].parse(key, cell)
+                     for key, cell in zip(fields, row.split(","), strict=True)} for row in rows]
+        elif name.endswith(".jsonl"):
+            docs = [json.loads(line) for line in text.splitlines()]
+        else:
+            docs = [json.loads(text)]
+        for doc in docs:
+            for key, domain in fields.items():
+                if domain is not None and (key not in optional or key in doc):
+                    domain.check(key, doc[key])
+        return decode(docs[0] if name.endswith(".json") else docs)
 
 
 def _profiles_and_split(out_dir: Path) -> tuple[ProfileSet, SplitPlan]:
@@ -351,8 +440,8 @@ def _profiles_and_split(out_dir: Path) -> tuple[ProfileSet, SplitPlan]:
     A split plan has two non-empty sides, so with every key present
     neither side of the design matrix comes out empty.
     """
-    profile_set = _read_ingested(out_dir, "profiles.jsonl", _parse_profiles)
-    plan = _read_ingested(out_dir, "split.json", _parse_split)
+    profile_set = _read(out_dir, "profiles.jsonl")
+    plan = _read(out_dir, "split.json")
     missing = sorted(set(plan.train + plan.test) - set(profile_set.keys()))
     if missing:
         raise SchemaMismatch(f"{out_dir / 'split.json'} names {len(missing)} profiles absent "
@@ -363,7 +452,7 @@ def _profiles_and_split(out_dir: Path) -> tuple[ProfileSet, SplitPlan]:
 def _normalized_split(out_dir: Path):
     """(train x/y, test x/y, scaler, test matrix) in normalized space."""
     profile_set, plan = _profiles_and_split(out_dir)
-    scaler = _read_ingested(out_dir, "scaler.json", lambda t: from_state(Scaler, json.loads(t)))
+    scaler = _read(out_dir, "scaler.json")
     dm = design_matrix(profile_set)
     train = dm.subset(plan.train)
     test = dm.subset(plan.test)
@@ -427,29 +516,6 @@ def cmd_ingest(cfg: RunConfig) -> None:
     print(f"ingest: {len(profile_set)} profiles, {len(plan.train)} train / {len(plan.test)} test")
 
 
-#: Each model kind's settings at each preset, recorded as the ``params`` of
-#: ``train_<model>.json``.  The network settings a kan preset leaves out come
-#: from the run config.
-_PRESET_PARAMS = {
-    "cart": {"published": {"max_depth": 30}, "quick": {"max_depth": 6}},
-    "rf": {
-        "published": {"n_estimators": 100, "max_features": 4, "max_depth": 30},
-        "quick": {"n_estimators": 20, "max_features": 4, "max_depth": 10},
-    },
-    "gbm": {
-        "published": {"n_estimators": 600, "learning_rate": 0.01, "max_depth": 9, "gamma": 0.3},
-        "quick": {"n_estimators": 60, "learning_rate": 0.1, "max_depth": 3, "gamma": 0.0},
-    },
-    "mlp": {
-        "published": {"layout": [len(Feature), 48, 48, 1], "epochs": 1000, "batch_size": 32,
-                      "learning_rate": 0.01},
-        "quick": {"layout": [len(Feature), 16, 1], "epochs": 100, "batch_size": 32,
-                  "learning_rate": 0.01},
-    },
-    "kan": {"published": {}, "quick": {"steps": 300}},
-}
-
-
 def _fit_model(cfg: RunConfig, xtr: np.ndarray, ytr: np.ndarray):
     """Model plus a JSON-able training record (loss traces and config).
 
@@ -458,7 +524,7 @@ def _fit_model(cfg: RunConfig, xtr: np.ndarray, ytr: np.ndarray):
     them.
     """
     seed = cfg.model_seed
-    params = dict(_PRESET_PARAMS[cfg.model][cfg.preset])
+    params = dict(_PRESET_PARAMS[cfg.preset][cfg.model])
     if cfg.model == "kan":
         params = {"layout": list(regime_layout(cfg.kan_regime, len(Feature))),
                   "grid_size": cfg.kan_grid, "steps": cfg.kan_steps,
@@ -513,11 +579,8 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def _discover_models(out_dir: Path) -> dict[str, object]:
-    models = {}
-    for name in MODEL_NAMES:
-        path = out_dir / f"model_{name}.json"
-        if path.exists():
-            models[name] = load_model(path)
+    models = {name: _read(out_dir, f"model_{name}.json") for name in MODEL_NAMES
+              if (out_dir / f"model_{name}.json").exists()}
     if not models:
         raise NotFound(f"no model files in {out_dir}; run train first")
     return models
@@ -578,10 +641,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
 def cmd_explain(cfg: RunConfig) -> None:
     out_dir = Path(cfg.out)
     xtr, _, xte, _, _, _ = _normalized_split(out_dir)
-    model_path = out_dir / f"model_{cfg.model}.json"
-    if not model_path.exists():
-        raise NotFound(f"{model_path} missing; run train --model {cfg.model} first")
-    model = load_model(model_path)
+    model = _read(out_dir, f"model_{cfg.model}.json")
     background = BackgroundSet(xtr).subsample(cfg.shap_background, seed=cfg.model_seed)
     instances = xte[: cfg.shap_instances]
     if len(instances) < cfg.shap_instances:
@@ -647,7 +707,7 @@ def cmd_kan_run(cfg: RunConfig) -> None:
     for r in records:
         if r.r2_test is not None:
             by_k.setdefault(r.n_inputs, []).append(r.r2_test)
-    curve = ["n_inputs,mean_r2_test,n_seeds"]
+    curve = [",".join(_ARTIFACTS["r2_curve.csv"].fields)]
     for k in sorted(by_k):
         curve.append(f"{k},{float(np.mean(by_k[k]))!r},{len(by_k[k])}")
     _emit(cfg, "kan-run", cfg.model_seed,
@@ -671,11 +731,9 @@ def cmd_eq(args) -> None:
     if args.eq_command == "show":
         print(entry.expression_text)
         return
-    values = {}
-    for i in range(1, len(Feature) + 1):
-        supplied = getattr(args, f"x{i}")
-        if supplied is not None:
-            values[i] = supplied
+    supplied = {i: getattr(args, f"x{i}") for i in range(1, len(Feature) + 1)}
+    values = {i: Domain(float).parse(f"x{i}", text)
+              for i, text in supplied.items() if text is not None}
     print(_disp(entry.evaluate(values)))
 
 
@@ -692,83 +750,24 @@ def _published_reference_lines(bank) -> list[str]:
 def cmd_report(cfg: RunConfig) -> None:
     out_dir = Path(cfg.out)
     bank = load_bank()
-    lines = ["# Run report", ""]
-    lines.append(f"Config sha256: `{_config_sha256(cfg)}`")
+    lines = ["# Run report", "", f"Config sha256: `{_config_sha256(cfg)}`", "", "## Dataset", ""]
+    if not (out_dir / "ingest_notes.json").exists():
+        lines.append("- no ingest artifacts in this directory")
+    else:
+        notes = _read(out_dir, "ingest_notes.json")
+        profile_set, plan = _profiles_and_split(out_dir)
+        lines.append(f"- source: {notes['source']}")
+        if "truth" in notes:
+            lines.append(f"- generating truth (normalized space): `{notes['truth']}`")
+        if "noise_sigma" in notes:
+            lines.append(f"- noise sigma: {notes['noise_sigma']}")
+        lines.append(f"- profiles: {len(profile_set)} "
+                     f"({len(plan.train)} train / {len(plan.test)} test)")
     lines.append("")
 
-    notes_path = out_dir / "ingest_notes.json"
-    if notes_path.exists():
-        with reading(notes_path):
-            notes = json.loads(notes_path.read_text())
-            if notes["source"] not in ("synthetic", "files"):
-                raise ValueError(f"source {notes['source']!r} is not synthetic or files")
-            if "truth" in notes and not all(isinstance(notes[k], str)
-                                            for k in ("truth", "noise_sigma")):
-                raise ValueError("truth and noise_sigma must be strings")
-            profile_set, plan = _profiles_and_split(out_dir)
-            lines.append("## Dataset")
-            lines.append("")
-            lines.append(f"- source: {notes['source']}")
-            if "truth" in notes:
-                lines.append(f"- generating truth (normalized space): `{notes['truth']}`")
-                lines.append(f"- noise sigma: {notes['noise_sigma']}")
-            lines.append(f"- profiles: {len(profile_set)} "
-                         f"({len(plan.train)} train / {len(plan.test)} test)")
-            lines.append("")
-    else:
-        lines.append("## Dataset")
-        lines.append("")
-        lines.append("- no ingest artifacts in this directory")
-        lines.append("")
-
-    metrics_path = out_dir / "metrics.json"
-    if metrics_path.exists():
-        with reading(metrics_path):
-            summary = json.loads(metrics_path.read_text())
-            lines.append("## Test metrics (degC)")
-            lines.append("")
-            lines.extend(_md_table(["model", "rmse", "mae", "r2"], [
-                (name, _disp(float(row["rmse_c"])), _disp(float(row["mae_c"])),
-                 "NA" if row["r2"] is None else _disp(float(row["r2"])))
-                for name, row in sorted(summary.items())]))
-            lines.append("")
-
-    shap_path = out_dir / "shap_global.json"
-    if shap_path.exists():
-        with reading(shap_path):
-            g = json.loads(shap_path.read_text())
-            if g["model"] not in MODEL_NAMES:
-                raise ValueError(f"model {g['model']!r} is not one of {MODEL_NAMES}")
-            for key, least in (("n_instances", 0), ("background_rows", 1)):
-                if type(g[key]) is not int or g[key] < least:
-                    raise ValueError(f"{key} {g[key]!r} is not an int >= {least}")
-            if sorted(g["importance"]) != sorted(f.name for f in Feature):
-                raise ValueError("importance does not name each of the ten features once")
-            lines.append(f"## Attribution ({g['model']}, {g['n_instances']} instances)")
-            lines.append("")
-            ranked = sorted(g["importance"].items(), key=lambda kv: kv[1]["rank"])
-            lines.extend(_md_table(["rank", "feature", "mean abs value", "share"], [
-                (row["rank"], name, _disp(float(row["mean_abs_shap"])),
-                 "NA" if row["percentage"] is None else _disp(float(row["percentage"])) + "%")
-                for name, row in ranked]))
-            lines.append("")
-
-    curve_path = out_dir / "r2_curve.csv"
-    if curve_path.exists():
-        with reading(curve_path):
-            lines.append("## Accuracy vs number of inputs")
-            lines.append("")
-            rows = [row.split(",") for row in curve_path.read_text().splitlines()[1:]]
-            for k, mean, n_seeds in rows:
-                if int(k) < 1 or not math.isfinite(float(mean)) or int(n_seeds) < 1:
-                    raise ValueError(f"row {k},{mean},{n_seeds} is not a positive input "
-                                     "count, a finite r2 and a positive seed count")
-            if rows:
-                lines.extend(_md_table(["inputs", "mean test r2"],
-                                       [(k, _disp(float(mean))) for k, mean, _ in rows]))
-            else:
-                lines.append("- test r2 undefined: every test target is the same value")
-            lines.append("")
+    for name in ("metrics.json", "shap_global.json", "r2_curve.csv"):
+        if (out_dir / name).exists():
+            lines += [*_read(out_dir, name), ""]
 
     lines.append("## Reference equations")
     lines.append("")
@@ -801,9 +800,11 @@ _COMMANDS = {
     "report": (cmd_report, ("out", "model"), "assemble a markdown report from run artifacts"),
 }
 
-#: Help for the flags whose name does not say all they do.
+#: Help for the flags whose name and domain do not say all they do.
 _FLAG_HELP = {
     "shap_instances": "explain at most this many rows, the first ones of the test split",
+    "kan_ordering": "distinct feature numbers 1..10, comma-separated; empty means 1..10",
+    "kan_seeds": "seeds >= 0, comma-separated",
 }
 
 
@@ -818,13 +819,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", metavar="FILE", help="key = value configuration file")
         for key in keys:
-            flag, kind = "--" + key.replace("_", "-"), _FIELD_TYPES[key]
-            help_text = _FLAG_HELP.get(key)
-            if kind == "bool":
-                p.add_argument(flag, dest=key, action="store_const", const=True, help=help_text)
-            else:
-                p.add_argument(flag, dest=key, type={"int": int, "float": float}.get(kind),
-                               help=help_text)
+            flag, domain = "--" + key.replace("_", "-"), _DOMAINS[key]
+            if domain.kind is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+                continue
+            help_text = "; ".join(filter(None, (domain.text(), _FLAG_HELP.get(key))))
+            p.add_argument(flag, dest=key, help=help_text or None)
 
     p = sub.add_parser("eq", help="inspect or evaluate the built-in equation bank")
     eq_sub = p.add_subparsers(dest="eq_command", metavar="ACTION")
@@ -836,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--set", required=True, choices=SET_NAMES)
     ev.add_argument("--inputs", required=True, type=int)
     for i in range(1, len(Feature) + 1):
-        ev.add_argument(f"--x{i}", type=float)
+        ev.add_argument(f"--x{i}", metavar="FLOAT")
     return parser
 
 

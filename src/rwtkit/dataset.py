@@ -404,7 +404,7 @@ class SplitPlan:
     """A profile-atomic train/test assignment.
 
     ``train`` and ``test`` are disjoint, non-empty, and together cover every
-    key that was split; ``ratio`` is in (0, 1) and ``seed`` is an int >= 0.
+    key that was split with ``ratio`` and ``seed``.
     """
 
     train: tuple[ProfileKey, ...]
@@ -415,10 +415,6 @@ class SplitPlan:
     def __post_init__(self) -> None:
         if not self.train or not self.test:
             raise TooFewProfiles("both split sides must be non-empty")
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError(f"ratio must be in (0, 1), got {self.ratio}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         overlap = set(self.train) & set(self.test)
         if overlap:
             raise ValueError(f"split sides overlap on {sorted(overlap)[:3]}")

@@ -176,11 +176,13 @@ def training_rows(x, y, width: int | None = None) -> tuple[np.ndarray, np.ndarra
 class Scaler:
     """Min-max mapping between raw units and the normalized [0, 1] space.
 
-    ``mode`` records how the bounds were obtained: ``"from_data"`` (per-column
-    extremes of a training set) or ``"fixed"`` (the published calibration
-    ranges plus :data:`DEFAULT_TARGET_RANGE`).  Bounds are per-feature
-    (lo, hi) with hi strictly greater than lo.
+    ``mode``, one of :attr:`MODES`, records how the bounds were obtained:
+    ``"from_data"`` (per-column extremes of a training set) or ``"fixed"`` (the
+    published calibration ranges plus :data:`DEFAULT_TARGET_RANGE`).  Bounds
+    are per-feature (lo, hi) with hi strictly greater than lo.
     """
+
+    MODES = ("fixed", "from_data")
 
     feature_lo: tuple[float, ...]
     feature_hi: tuple[float, ...]
@@ -189,7 +191,7 @@ class Scaler:
     mode: str
 
     def __post_init__(self) -> None:
-        if self.mode not in ("from_data", "fixed"):
+        if self.mode not in self.MODES:
             raise ValueError(f"unknown scaler mode {self.mode!r}")
         if len(self.feature_lo) != len(Feature) or len(self.feature_hi) != len(Feature):
             raise ValueError("scaler bounds must cover all ten features")

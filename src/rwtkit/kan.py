@@ -62,6 +62,7 @@ __all__ = [
     "edge_function",
     "min_abs_edge_output",
     "regime_layout",
+    "REGIMES",
     "incremental_experiment",
     "SIMPLE_LIBRARY",
     "COMPLEX_LIBRARY",
@@ -258,8 +259,8 @@ def kan_train(
     is evaluated once for all steps.
     """
     x, y = training_rows(x, y, net.n_inputs)
-    if steps < 1 or learning_rate <= 0.0 or lam < 0.0:
-        raise InvalidParam("need steps >= 1, learning_rate > 0, lam >= 0")
+    if not (steps >= 1 and 0.0 < learning_rate < np.inf and 0.0 <= lam < np.inf):
+        raise InvalidParam("need steps >= 1, learning_rate finite and > 0, lam finite and >= 0")
     coefs = [c.copy() for c in net.coefs]
     bypass = [b.copy() for b in net.bypass]
     current = replace(net, coefs=tuple(coefs), bypass=tuple(bypass))
@@ -499,14 +500,14 @@ COMPLEX_LIBRARY: tuple[_Candidate, ...] = (
 )
 
 #: Each distillation regime's hidden width and snap library.
-_REGIMES = {"simple": (2, SIMPLE_LIBRARY), "complex": (3, COMPLEX_LIBRARY)}
+REGIMES = {"simple": (2, SIMPLE_LIBRARY), "complex": (3, COMPLEX_LIBRARY)}
 
 
 def _regime(name: str) -> tuple[int, tuple[_Candidate, ...]]:
     """(hidden width, snap library) of a distillation regime."""
-    if name not in _REGIMES:
-        raise InvalidParam(f"regime must be one of {'|'.join(_REGIMES)}, got {name!r}")
-    return _REGIMES[name]
+    if name not in REGIMES:
+        raise InvalidParam(f"regime must be one of {'|'.join(REGIMES)}, got {name!r}")
+    return REGIMES[name]
 
 
 @dataclass(frozen=True)

@@ -189,8 +189,8 @@ def mlp_train(
     batch_all, y = training_rows(x, y, model.layout[0])
     if epochs < 1 or batch_size < 1:
         raise InvalidParam("epochs and batch_size must be >= 1")
-    if learning_rate <= 0.0:
-        raise InvalidParam(f"learning_rate must be > 0, got {learning_rate}")
+    if not 0.0 < learning_rate < np.inf:
+        raise InvalidParam(f"learning_rate must be finite and > 0, got {learning_rate}")
     if not 0.0 <= momentum < 1.0:
         raise InvalidParam(f"momentum must be in [0, 1), got {momentum}")
     rng = np.random.default_rng(seed)

@@ -76,8 +76,8 @@ class TreeParams:
             raise InvalidParam(f"max_depth must be >= 1, got {self.max_depth}")
         if self.min_samples_leaf < 1:
             raise InvalidParam(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        if self.gamma < 0.0:
-            raise InvalidParam(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise InvalidParam(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 def _sum_and_sse(y: np.ndarray) -> tuple[float, float]:
@@ -473,18 +473,18 @@ class BoostParams:
             raise InvalidParam(
                 f"learning_rate must be in (0, 1], got {self.learning_rate}"
             )
-        if self.gamma < 0.0:
-            raise InvalidParam(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise InvalidParam(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (0.0 < self.colsample_bytree <= 1.0):
             raise InvalidParam(
                 f"colsample_bytree must be in (0, 1], got {self.colsample_bytree}"
             )
-        if self.min_child_weight < 0.0:
+        if not 0.0 <= self.min_child_weight < math.inf:
             raise InvalidParam(
-                f"min_child_weight must be >= 0, got {self.min_child_weight}"
+                f"min_child_weight must be finite and >= 0, got {self.min_child_weight}"
             )
-        if self.reg_alpha < 0.0 or self.reg_lambda < 0.0:
-            raise InvalidParam("reg_alpha and reg_lambda must be >= 0")
+        if not (0.0 <= self.reg_alpha < math.inf and 0.0 <= self.reg_lambda < math.inf):
+            raise InvalidParam("reg_alpha and reg_lambda must be finite and >= 0")
 
 
 @dataclass(frozen=True)

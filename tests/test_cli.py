@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+import operator
 import os
 import shutil
 import subprocess
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import rwtkit
-from rwtkit.cli import MODEL_NAMES, ConfigError, RunConfig, load_run_config, main
+from rwtkit.cli import (_COMMANDS, _DOMAINS, MODEL_NAMES, ConfigError, RunConfig,
+                        load_run_config, main)
 
 # --- configuration loading ---------------------------------------------------
 
@@ -98,6 +101,9 @@ def test_unknown_override_key():
         ("synth_noise", -1.0),
         ("synth_noise", float("nan")),
         ("synth_noise", float("inf")),
+        ("kan_lr", float("nan")),
+        ("kan_lr", float("inf")),
+        ("kan_lam", -1.0),
         ("kan_seeds", "a,b"),
         ("kan_seeds", ","),
         ("kan_ordering", "1,1,2"),
@@ -108,6 +114,68 @@ def test_unknown_override_key():
 def test_validation_rejects(field, value):
     with pytest.raises(ConfigError):
         load_run_config(None, {field: value})
+
+
+def _walk(domain) -> list:
+    """(value, inside) pairs: each bound, the values just outside it, nan, inf,
+    -1 and a huge value, or each choice and three texts that are none."""
+    if domain.choices:
+        return [(c, True) for c in domain.choices] + [(v, False) for v in ("nosuch", "nan", "-1")]
+    if domain.kind is int:
+        step, huge = (lambda v, way: v + way), 10**30
+    else:
+        step, huge = (lambda v, way: math.nextafter(v, way * math.inf)), 1e300
+    bounds = [(sign, domain.kind(number)) for sign, number in map(str.split, domain.bounds)]
+    ops = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+    cases = [(math.nan, False), (math.inf, False)] + [
+        (v, all(ops[sign](v, b) for sign, b in bounds)) for v in map(domain.kind, (-1, huge))]
+    for sign, bound in bounds:
+        way, is_open = (-1 if sign[0] == ">" else 1), "=" not in sign
+        cases += [(bound, not is_open), (step(bound, -way if is_open else way), is_open)]
+    return cases
+
+
+#: The two list options, whose items have the domain of a seed and of a
+#: feature number.
+LIST_CASES = {
+    "kan_seeds": [("0", True), ("-1", False), ("nan", False), ("inf", False), ("", False),
+                  (str(10**30), True)],
+    "kan_ordering": [("1", True), ("10", True), ("0", False), ("11", False), ("nan", False),
+                     ("inf", False), ("-1", False), (str(10**30), False), ("1,1", False)],
+}
+
+
+@pytest.mark.parametrize("key", sorted(set(_DOMAINS) - {"synthetic", "out", "observations",
+                                                        "daily", "morphometry"}))
+def test_every_option_outside_its_domain_is_a_usage_error(capsys, tmp_path, key):
+    # Values inside the domain are only loaded, so the walk runs no command.
+    cases = LIST_CASES.get(key) or _walk(_DOMAINS[key])
+    command = next(name for name, (_, keys, _) in _COMMANDS.items() if key in keys)
+    for i, (value, inside) in enumerate(cases):
+        if inside:
+            assert getattr(load_run_config(None, {key: value}), key) == value
+            continue
+        out = tmp_path / str(i)
+        flag = "--" + key.replace("_", "-") + "=" + (repr(value) if type(value) is float
+                                                     else str(value))
+        capsys.readouterr()
+        assert main([command, flag, "--out", str(out)]) == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith("rwtkit:") and "Traceback" not in err, (flag, err)
+        assert not out.exists(), flag
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_help_prints_each_option_domain(capsys, command):
+    # argparse formats help text with %, so a stray % fails only here
+    with pytest.raises(SystemExit) as stopped:
+        main([command, "--help"])
+    assert stopped.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key in _COMMANDS[command][1]:
+        domain = _DOMAINS[key]
+        assert "--" + key.replace("_", "-") in text
+        assert domain.text() in text, key
 
 
 def test_kan_ordering_is_one_based_input_zero_based_columns():
@@ -146,6 +214,12 @@ def test_eq_show(capsys):
 def test_eq_eval_prints_display_precision(capsys):
     assert main(["eq", "eval", "--set", "simple", "--inputs", "1", "--x1", "0.5"]) == 0
     assert capsys.readouterr().out == "0.465\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_eq_eval_non_finite_variable_is_usage_error(capsys, value):
+    assert main(["eq", "eval", "--set", "simple", "--inputs", "1", f"--x1={value}"]) == 2
+    assert capsys.readouterr().err.startswith("rwtkit: x1 must be finite")
 
 
 def test_eq_eval_missing_variable_is_runtime_error(capsys):

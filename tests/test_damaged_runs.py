@@ -5,7 +5,9 @@ reads.  Each case damages one file of a copy of it and runs every command
 that reads that file.  A command may exit 0, when the damage hits data it
 does not use, or 1 with a JSON error record on stderr; an exception that
 escapes ``main`` is the traceback a user would see.  Truncation, emptying,
-binary bytes and the row-level damage run on every file; the key edits are
+binary bytes and the row-level damage run on every file.  The key edits
+delete or retype each field the reader's schema table declares (each key of
+the document, for the model files, whose format the codec owns); they are
 sampled with a fixed seed, a few per file, so the whole test stays small.
 """
 
@@ -15,7 +17,7 @@ import shutil
 
 import pytest
 
-from rwtkit.cli import MODEL_NAMES, main
+from rwtkit.cli import _ARTIFACTS, MODEL_NAMES, main
 
 #: The commands that read each file, as argument lists without ``--out``.
 READERS = {
@@ -42,12 +44,12 @@ RETYPED = (None, "x", [], {}, -1, "nan")
 KEY_EDITS = 3
 
 
-def _json_edits(text: str, jsonl: bool) -> dict:
-    """Each top-level key of the (first) document deleted or retyped."""
+def _json_edits(name: str, text: str, jsonl: bool) -> dict:
+    """Each declared top-level key of the (first) document deleted or retyped."""
     lines = text.splitlines(keepends=True)
     doc = json.loads(lines[0] if jsonl else text)
     edits = {}
-    for key in sorted(doc):
+    for key in sorted(_ARTIFACTS[name].fields or doc):
         for value in ("deleted",) + RETYPED:
             edited = {k: v for k, v in doc.items() if k != key}
             if value != "deleted":
@@ -74,7 +76,7 @@ def _mutations(name: str, data: bytes) -> dict:
             "nan-row": text + ",".join(["nan"] * width) + "\n",
         }
     else:
-        edits = _json_edits(text, jsonl=name.endswith(".jsonl"))
+        edits = _json_edits(name, text, jsonl=name.endswith(".jsonl"))
         if name.endswith(".jsonl"):
             first = text.splitlines(keepends=True)[0]
             edits["first-line-only"] = first

@@ -17,7 +17,7 @@ from rwtkit import kan as kan_module
 from rwtkit import parallel
 from rwtkit.bspline import CubicSplineBasis
 from rwtkit.cli import main as cli_main
-from rwtkit.errors import Diverged, InvalidLayout, NonFiniteInput
+from rwtkit.errors import Diverged, InvalidLayout, InvalidParam, NonFiniteInput
 from rwtkit.kan import (
     COMPLEX_LIBRARY,
     SIMPLE_LIBRARY,
@@ -236,6 +236,17 @@ def test_cached_basis_training_is_bitwise_plain_descent(small_xy):
     assert trace == tuple(losses)
     for got, want in zip(trained.coefs + trained.bypass, current.coefs + current.bypass):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [{"steps": 0}, {"learning_rate": 0.0},
+                                 {"learning_rate": np.nan}, {"learning_rate": np.inf},
+                                 {"lam": -1.0}, {"lam": np.nan}, {"lam": np.inf}],
+                         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_train_rejects_parameters_outside_their_domain(small_xy, bad):
+    # NaN fails every comparison, so each bound is written to fail on it
+    x, y = small_xy
+    with pytest.raises(InvalidParam):
+        kan_train(kan_init((10, 2, 1), seed=0), x, y, **{"steps": 5, **bad})
 
 
 def test_divergence_raises(small_xy):

@@ -181,5 +181,6 @@ def test_train_input_validation(small_xy):
         mlp_train(model, x, y[:-1], epochs=1)
     with pytest.raises(InvalidParam):
         mlp_train(model, x, y, epochs=0)
-    with pytest.raises(InvalidParam):
-        mlp_train(model, x, y, learning_rate=0.0)
+    for learning_rate in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidParam):
+            mlp_train(model, x, y, learning_rate=learning_rate)

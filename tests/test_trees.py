@@ -223,8 +223,12 @@ def test_param_validation():
         TreeParams(max_depth=0)
     with pytest.raises(InvalidParam):
         TreeParams(min_samples_leaf=0)
-    with pytest.raises(InvalidParam):
-        TreeParams(gamma=-0.1)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(InvalidParam):
+            TreeParams(gamma=bad)
+        for field in ("gamma", "min_child_weight", "reg_alpha", "reg_lambda"):
+            with pytest.raises(InvalidParam):
+                BoostParams(**{field: bad})
     with pytest.raises(InvalidParam):
         ForestParams(n_estimators=0)
     with pytest.raises(InvalidParam):
