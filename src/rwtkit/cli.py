@@ -51,7 +51,7 @@ from .features import MIN_PROFILE_SAMPLES, Feature, ObservationProfile, Scaler, 
 from .kan import REGIMES, incremental_experiment, kan_init, kan_train, regime_layout
 from .metrics import metrics, per_group_metrics, quantile_compare
 from .mlp import mlp_init, mlp_train
-from .serialize import from_state, load_model, reading, save_model, to_state
+from .serialize import csv_text, from_state, load_model, reading, record, save_model, to_state
 from .shapley import BackgroundSet, export_heatmap, export_summary, shap_batch, shap_global
 from .trees import BoostParams, ForestParams, TreeParams, gbm_fit, rf_fit, tree_fit
 
@@ -83,7 +83,7 @@ _PRESET_PARAMS = {
 
 #: Display rule for humans (report, eq eval): 12 significant digits, enough
 #: to tell values apart without echoing last-ulp binary noise.  Machine
-#: artifacts always use full repr precision instead.
+#: artifacts use the float rule of :mod:`rwtkit.serialize` instead.
 DISPLAY_DIGITS = ".12g"
 
 
@@ -239,12 +239,13 @@ def _json_dumps(obj) -> str:
 
 
 def _joined(lines: list[str]) -> str:
-    """Lines of a text artifact (CSV, JSON lines or markdown) as one text."""
+    """Lines of a text artifact (JSON lines or markdown) as one text."""
     return "\n".join(lines) + "\n"
 
 
-def _jsonl_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _jsonl(docs) -> str:
+    """JSON lines: one compact line per document, its floats by the float rule."""
+    return _joined([json.dumps(record(doc), sort_keys=True, separators=(",", ":")) for doc in docs])
 
 
 def _manifest_config(cfg: RunConfig) -> dict:
@@ -294,9 +295,8 @@ def _emit(cfg: RunConfig, command: str, seed: int, artifacts: dict[str, str | No
 
 
 def _disp(value) -> str:
-    if value is None:
-        return "NA"
-    return format(value, DISPLAY_DIGITS)
+    """A float, or its repr string as an artifact holds it, for humans; ``None`` is NA."""
+    return "NA" if value is None else format(float(value), DISPLAY_DIGITS)
 
 
 def _md_table(header: list[str], rows) -> list[str]:
@@ -310,20 +310,13 @@ def _md_table(header: list[str], rows) -> list[str]:
 
 
 def _profiles_jsonl(profile_set: ProfileSet) -> str:
-    lines = []
-    for p in profile_set.profiles:
-        lines.append(
-            _jsonl_line(
-                {
-                    "reservoir": p.reservoir_id,
-                    "date": p.date.isoformat(),
-                    "site": p.site_id,
-                    "samples": [[repr(d), repr(t)] for d, t in p.samples],
-                    "covariates": {f.name: repr(v) for f, v in sorted(p.covariates.items())},
-                }
-            )
-        )
-    return _joined(lines)
+    return _jsonl({
+        "reservoir": p.reservoir_id,
+        "date": p.date.isoformat(),
+        "site": p.site_id,
+        "samples": p.samples,
+        "covariates": {f.name: v for f, v in p.covariates.items()},
+    } for p in profile_set.profiles)
 
 
 def _parse_profiles(docs: list) -> ProfileSet:
@@ -343,8 +336,7 @@ def _parse_split(doc: dict) -> SplitPlan:
 
 def _metrics_section(doc: dict) -> list[str]:
     return ["## Test metrics (degC)", "", *_md_table(["model", "rmse", "mae", "r2"], [
-        (name, _disp(float(row["rmse_c"])), _disp(float(row["mae_c"])),
-         "NA" if row["r2"] is None else _disp(float(row["r2"])))
+        (name, _disp(row["rmse_c"]), _disp(row["mae_c"]), _disp(row["r2"]))
         for name, row in sorted(doc.items())])]
 
 
@@ -354,8 +346,8 @@ def _attribution_section(doc: dict) -> list[str]:
     ranked = sorted(doc["importance"].items(), key=lambda kv: kv[1]["rank"])
     return [f"## Attribution ({doc['model']}, {doc['n_instances']} instances)", "",
             *_md_table(["rank", "feature", "mean abs value", "share"], [
-                (row["rank"], name, _disp(float(row["mean_abs_shap"])),
-                 "NA" if row["percentage"] is None else _disp(float(row["percentage"])) + "%")
+                (row["rank"], name, _disp(row["mean_abs_shap"]),
+                 "NA" if row["percentage"] is None else _disp(row["percentage"]) + "%")
                 for name, row in ranked])]
 
 
@@ -479,7 +471,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
         source_note = {
             "source": "synthetic",
             "truth": synth.truth_text,
-            "noise_sigma": repr(cfg.synth_noise),
+            "noise_sigma": float(cfg.synth_noise),
         }
     else:
         for name in ("observations", "daily", "morphometry"):
@@ -501,23 +493,17 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 {"key": list(key), "reason": reason} for key, reason in result.rejected
             ],
         }
-    split = {
-        "ratio": cfg.split_ratio,
-        "seed": cfg.split_seed,
-        "train": [list(k) for k in plan.train],
-        "test": [list(k) for k in plan.test],
-    }
     _emit(cfg, "ingest", cfg.synth_seed if cfg.synthetic else cfg.split_seed, {
         "profiles.jsonl": _profiles_jsonl(profile_set),
         "scaler.json": _json_dumps(to_state(scaler)),
-        "split.json": _json_dumps(split),
-        "ingest_notes.json": _json_dumps(source_note),
+        "split.json": _json_dumps(dataclasses.asdict(plan)),
+        "ingest_notes.json": _json_dumps(record(source_note)),
     })
     print(f"ingest: {len(profile_set)} profiles, {len(plan.train)} train / {len(plan.test)} test")
 
 
 def _fit_model(cfg: RunConfig, xtr: np.ndarray, ytr: np.ndarray):
-    """Model plus a JSON-able training record (loss traces and config).
+    """Model, its training settings and its loss trace under the trace's name.
 
     The fitters are looked up by their names in this module at call time,
     and the epoch and step counts passed by keyword, so a profiler can wrap
@@ -529,52 +515,42 @@ def _fit_model(cfg: RunConfig, xtr: np.ndarray, ytr: np.ndarray):
         params = {"layout": list(regime_layout(cfg.kan_regime, len(Feature))),
                   "grid_size": cfg.kan_grid, "steps": cfg.kan_steps,
                   "learning_rate": cfg.kan_lr, "lam": cfg.kan_lam, **params}
-    record = {"params": params}
+    traces = {}
     if cfg.model == "cart":
         model = tree_fit(xtr, ytr, TreeParams(**params))
     elif cfg.model == "rf":
         model = rf_fit(xtr, ytr, ForestParams(**params, seed=seed))
     elif cfg.model == "gbm":
         model = gbm_fit(xtr, ytr, BoostParams(**params, seed=seed))
-        record["train_mse"] = [repr(v) for v in model.train_mse]
+        traces["train_mse"] = model.train_mse
     elif cfg.model == "mlp":
-        model, trace = mlp_train(
+        model, traces["loss_trace"] = mlp_train(
             mlp_init(tuple(params["layout"]), seed=seed), xtr, ytr, epochs=params["epochs"],
             batch_size=params["batch_size"], learning_rate=params["learning_rate"], seed=seed,
         )
         params["dropout_rate"] = model.dropout_rate
     else:
-        model, trace = kan_train(
+        model, traces["loss_trace"] = kan_train(
             kan_init(tuple(params["layout"]), grid_size=params["grid_size"], seed=seed), xtr, ytr,
             steps=params["steps"], learning_rate=params["learning_rate"], lam=params["lam"],
         )
-    if cfg.model in ("mlp", "kan"):
-        record["loss_trace"] = [repr(v) for v in trace]
-    return model, record
+    return model, params, traces
 
 
 def cmd_train(cfg: RunConfig) -> None:
     out_dir = Path(cfg.out)
     xtr, ytr, _, _, scaler, _ = _normalized_split(out_dir)
-    model, record = _fit_model(cfg, xtr, ytr)
+    model, params, traces = _fit_model(cfg, xtr, ytr)
     pred_c = scaler.invert_target(model.predict(xtr))
     true_c = scaler.invert_target(ytr)
     scores = metrics(true_c, pred_c)
-    record.update(
-        {
-            "model": cfg.model,
-            "preset": cfg.preset,
-            "seed": cfg.model_seed,
-            "n_train": int(len(ytr)),
-            "train_rmse_c": repr(scores.rmse),
-            "train_mae_c": repr(scores.mae),
-            "train_r2": None if scores.r2 is None else repr(scores.r2),
-        }
-    )
+    doc = record({**traces, "model": cfg.model, "preset": cfg.preset, "seed": cfg.model_seed,
+                  "n_train": len(ytr), "train_rmse_c": scores.rmse, "train_mae_c": scores.mae,
+                  "train_r2": scores.r2})
     model_file = f"model_{cfg.model}.json"
     save_model(model, out_dir / model_file)
     _emit(cfg, "train", cfg.model_seed,
-          {model_file: None, f"train_{cfg.model}.json": _json_dumps(record)})
+          {model_file: None, f"train_{cfg.model}.json": _json_dumps({**doc, "params": params})})
     print(f"train: {cfg.model} ({cfg.preset}) rmse {_disp(scores.rmse)} degC on train")
 
 
@@ -593,49 +569,31 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     true_c = scaler.invert_target(yte)
     preds_c = {name: scaler.invert_target(m.predict(xte)) for name, m in models.items()}
 
-    summary = {}
-    for name in sorted(preds_c):
-        scores = metrics(true_c, preds_c[name])
-        summary[name] = {
-            "rmse_c": repr(scores.rmse),
-            "mae_c": repr(scores.mae),
-            "r2": None if scores.r2 is None else repr(scores.r2),
-            "n_test": int(len(true_c)),
-        }
+    scores = {name: metrics(true_c, preds_c[name]) for name in sorted(preds_c)}
+    summary = {name: {"rmse_c": s.rmse, "mae_c": s.mae, "r2": s.r2, "n_test": len(true_c)}
+               for name, s in scores.items()}
     reservoirs = [key[0] for key in test.keys]
-    per_reservoir = ["reservoir,model,rmse_c,mae_c,r2,best_r2,best_rmse"]
-    for row in per_group_metrics(reservoirs, true_c, preds_c):
-        r2_text = "NA" if row.scores.r2 is None else repr(row.scores.r2)
-        per_reservoir.append(
-            f"{row.group},{row.model},{row.scores.rmse!r},{row.scores.mae!r},"
-            f"{r2_text},{int(row.best_r2)},{int(row.best_rmse)}"
-        )
+    per_reservoir = [(row.group, row.model, row.scores.rmse, row.scores.mae, row.scores.r2,
+                      row.best_r2, row.best_rmse)
+                     for row in per_group_metrics(reservoirs, true_c, preds_c)]
 
     primary = cfg.model if cfg.model in preds_c else sorted(preds_c)[0]
     pred_primary = preds_c[primary]
-    scatter = ["reservoir,date,site,depth_m,observed_c,predicted_c,bound_lo_c,bound_hi_c"]
-    for key, obs, pred, row in zip(test.keys, true_c, pred_primary, test.x_raw):
-        depth = row[Feature.depth_measure.column]
-        scatter.append(
-            f"{key[0]},{key[1]},{key[2]},{depth!r},{obs!r},{pred!r},"
-            f"{0.9 * obs!r},{1.1 * obs!r}"
-        )
-
-    qq = ["probability,observed_c,predicted_c"]
-    for point in quantile_compare(true_c, pred_primary):
-        qq.append(f"{point.probability!r},{point.q_observed!r},{point.q_predicted!r}")
+    depths = test.x_raw[:, Feature.depth_measure.column]
+    scatter = [(*key, depth, obs, pred, 0.9 * obs, 1.1 * obs)
+               for key, depth, obs, pred in zip(test.keys, depths, true_c, pred_primary)]
+    qq = map(dataclasses.astuple, quantile_compare(true_c, pred_primary))
 
     _emit(cfg, "evaluate", cfg.split_seed, {
-        "metrics.json": _json_dumps(summary),
-        "per_reservoir.csv": _joined(per_reservoir),
-        "scatter.csv": _joined(scatter),
-        "qq.csv": _joined(qq),
+        "metrics.json": _json_dumps(record(summary)),
+        "per_reservoir.csv": csv_text(
+            ("reservoir", "model", "rmse_c", "mae_c", "r2", "best_r2", "best_rmse"), per_reservoir),
+        "scatter.csv": csv_text(("reservoir", "date", "site", "depth_m", "observed_c",
+                                 "predicted_c", "bound_lo_c", "bound_hi_c"), scatter),
+        "qq.csv": csv_text(("probability", "observed_c", "predicted_c"), qq),
     })
-    for name in sorted(summary):
-        print(
-            f"evaluate: {name} rmse {_disp(float(summary[name]['rmse_c']))} degC, "
-            f"r2 {_disp(None if summary[name]['r2'] is None else float(summary[name]['r2']))}"
-        )
+    for name, s in scores.items():
+        print(f"evaluate: {name} rmse {_disp(s.rmse)} degC, r2 {_disp(s.r2)}")
 
 
 def cmd_explain(cfg: RunConfig) -> None:
@@ -653,17 +611,17 @@ def cmd_explain(cfg: RunConfig) -> None:
     importance = {
         Feature(col + 1).name: {
             "rank": rank,
-            "mean_abs_shap": repr(g.importance[col]),
-            "percentage": None if g.percentages is None else repr(g.percentages[col]),
+            "mean_abs_shap": g.importance[col],
+            "percentage": None if g.percentages is None else g.percentages[col],
         }
         for rank, col in enumerate(g.ranking, start=1)
     }
     _emit(cfg, "explain", cfg.model_seed, {
         "shap_summary.csv": export_summary(explanations),
         "shap_heatmap.csv": export_heatmap(explanations),
-        "shap_global.json": _json_dumps({"model": cfg.model, "n_instances": len(explanations),
-                                         "background_rows": len(background),
-                                         "importance": importance}),
+        "shap_global.json": _json_dumps(record({
+            "model": cfg.model, "n_instances": len(explanations),
+            "background_rows": len(background), "importance": importance})),
     })
     top = Feature(g.ranking[0] + 1).name
     print(f"explain: {len(explanations)} instances of {cfg.model}, top feature {top}")
@@ -685,39 +643,24 @@ def cmd_kan_run(cfg: RunConfig) -> None:
         learning_rate=cfg.kan_lr,
         lam=cfg.kan_lam,
     )
-    lines = []
-    for r in records:
-        lines.append(
-            _jsonl_line(
-                {
-                    "n_inputs": r.n_inputs,
-                    "regime": r.regime,
-                    "seed": r.seed,
-                    "r2_train": None if r.r2_train is None else repr(r.r2_train),
-                    "r2_test": None if r.r2_test is None else repr(r.r2_test),
-                    "expression": r.expression_text,
-                    "n_failed_edges": r.n_failed_edges,
-                    "snap_tolerance": repr(r.snap_tolerance),
-                    "config": {k: repr(v) if isinstance(v, float) else v
-                               for k, v in sorted(r.config.items())},
-                }
-            )
-        )
+    docs = [dataclasses.asdict(r) for r in records]
+    for doc in docs:
+        doc["expression"] = doc.pop("expression_text")
     by_k: dict[int, list[float]] = {}
     for r in records:
         if r.r2_test is not None:
             by_k.setdefault(r.n_inputs, []).append(r.r2_test)
-    curve = [",".join(_ARTIFACTS["r2_curve.csv"].fields)]
-    for k in sorted(by_k):
-        curve.append(f"{k},{float(np.mean(by_k[k]))!r},{len(by_k[k])}")
-    _emit(cfg, "kan-run", cfg.model_seed,
-          {"kan_records.jsonl": _joined(lines), "r2_curve.csv": _joined(curve)})
+    curve = [(k, np.mean(by_k[k]), len(by_k[k])) for k in sorted(by_k)]
+    _emit(cfg, "kan-run", cfg.model_seed, {
+        "kan_records.jsonl": _jsonl(docs),
+        "r2_curve.csv": csv_text(_ARTIFACTS["r2_curve.csv"].fields, curve),
+    })
     if not by_k:  # every test target is the same value
         print(f"kan-run: {len(records)} runs, test r2 undefined")
         return
     last = max(by_k)
     print(f"kan-run: {len(records)} runs, mean test r2 at {last} inputs "
-          f"{_disp(float(np.mean(by_k[last])))}")
+          f"{_disp(np.mean(by_k[last]))}")
 
 
 def cmd_eq(args) -> None:
@@ -840,9 +783,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined_flag_values(argv: list[str]) -> list[str]:
+    """``argv`` with each number that starts with ``-`` joined to the flag before
+    it, ``--x1 -1e3`` as ``--x1=-1e3``: argparse takes such a word for an option
+    unless it is a plain number like ``-1``."""
+    words = []
+    for word in argv:
+        flag = words[-1] if words else ""
+        if flag.startswith("--") and "=" not in flag and word.startswith("-") and _is_number(word):
+            words[-1] = f"{flag}={word}"
+        else:
+            words.append(word)
+    return words
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_flag_values(sys.argv[1:] if argv is None else argv))
     if args.command is None or (args.command == "eq" and args.eq_command is None):
         parser.print_usage(sys.stderr)
         return 2

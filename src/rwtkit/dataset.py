@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime
-import io
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -146,19 +145,15 @@ class ParseResult:
 
 
 def _open_text(source):
-    """A context manager over the text of a path, literal text or stream.
-
-    A string without a newline is a path, so literal text must contain a
-    newline.  A path that names no file raises :class:`NotFound`.  It
-    closes a file it opens; a caller's stream is left open.
+    """A context manager over the text of a path (a ``str`` or ``Path``) or a
+    stream.  A path that names no file raises :class:`NotFound`.  It closes a
+    file it opens; a caller's stream is left open.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    if isinstance(source, (str, Path)):
         try:
             return open(source, "r", newline="")
         except FileNotFoundError as exc:
-            raise NotFound(f"no file {str(source)!r} (literal text must contain a newline)") from exc
-    if isinstance(source, str):
-        return io.StringIO(source)
+            raise NotFound(f"no file {str(source)!r}") from exc
     return contextlib.nullcontext(source)
 
 
@@ -201,10 +196,9 @@ def _parse_float(text: str, column: str, lineno: int) -> float:
 
 
 def parse_observations(source) -> ParseResult:
-    """Read profile observations from a CSV stream, path, or literal text.
+    """Read profile observations from a CSV stream or path.
 
-    Literal text must contain a newline; a string without one is a path,
-    and a path that names no file raises :class:`NotFound`.
+    A path that names no file raises :class:`NotFound`.
 
     Rows sharing (reservoir_id, date, site_id) form one profile in file
     order.  Structural problems in the file itself (wrong header, bad
@@ -247,11 +241,8 @@ def parse_observations(source) -> ParseResult:
 
 
 def parse_daily(source) -> DailySeries:
-    """Read the daily covariate series; duplicate reservoir-days are rejected.
-
-    ``source`` is read as in :func:`parse_observations`: literal text must
-    contain a newline.
-    """
+    """Read the daily covariate series from a CSV stream or path; duplicate
+    reservoir-days are rejected."""
     records: dict[tuple[str, datetime.date], DailyRecord] = {}
     for lineno, row in _csv_rows(source, DAILY_HEADER, "daily covariates"):
         reservoir_id = row[0]
@@ -267,11 +258,7 @@ def parse_daily(source) -> DailySeries:
 
 
 def parse_morphometry(source) -> Morphometry:
-    """Read per-reservoir surface area and maximum depth.
-
-    ``source`` is read as in :func:`parse_observations`: literal text must
-    contain a newline.
-    """
+    """Read per-reservoir surface area and maximum depth from a CSV stream or path."""
     records: dict[str, tuple[float, float]] = {}
     for lineno, row in _csv_rows(source, MORPHOMETRY_HEADER, "morphometry"):
         reservoir_id = row[0]

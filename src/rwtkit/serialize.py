@@ -1,14 +1,18 @@
-"""Versioned JSON persistence for trained models and scalers: format 1.
+"""The float rule of every artifact, and JSON persistence for models and scalers.
 
-A model file is a wrapper ``{"format": "rwtkit-model", "version": 1,
-"kind": ..., "state": ...}``; ``scaler.json`` is a scaler's state alone.  A
-state maps each dataclass field of the object to its encoded value, under
-the field's name.  One rule encodes it: every float, alone, in a tuple or in
-a float array at any depth, is written as its ``repr`` string, so a
-save/load round trip is bit-exact and the files diff cleanly.  Ints, int
-arrays and strings stay JSON ints and strings, and a tuple of arrays or of
-trees is a list of encoded items.  The rule has two exceptions, the fields
-named in ``_PLAIN_FIELDS``, which are written as plain JSON values: a model's
+The float rule writes a float, numpy's included, as ``repr(float(x))``: the
+shortest text that reads back to the same float.  :func:`record` applies it to
+JSON documents and :func:`csv_text` to CSV rows.
+
+Model files are in format 1: a wrapper ``{"format": "rwtkit-model",
+"version": 1, "kind": ..., "state": ...}``; ``scaler.json`` is a scaler's
+state alone.  A state maps each dataclass field of the object to its encoded
+value, under the field's name.  Every float in it, alone, in a tuple or in a
+float array at any depth, is written by the float rule, so a save/load round
+trip is bit-exact and the files diff cleanly.  Ints, int arrays and strings
+stay JSON ints and strings, and a tuple of arrays or of trees is a list of
+encoded items.  The rule has two exceptions, the fields named in
+``_PLAIN_FIELDS``, which are written as plain JSON values: a model's
 ``params`` (its training settings, through ``dataclasses.asdict``) and an
 MLP's ``dropout_rate``.  Keys are always sorted, which makes the byte stream
 a pure function of the model.
@@ -35,6 +39,8 @@ from .mlp import MlpModel
 from .trees import BoostedEnsemble, DecisionTree, Forest
 
 __all__ = [
+    "record",
+    "csv_text",
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "save_model",
@@ -62,6 +68,30 @@ _KINDS = {
 
 def _repr_float(value) -> str:
     return repr(float(value))
+
+
+def record(obj):
+    """``obj`` with every float at any depth written by the float rule; dicts are
+    walked, lists and tuples become lists, and every other value is kept."""
+    if isinstance(obj, (float, np.floating)):
+        return _repr_float(obj)
+    if isinstance(obj, dict):
+        return {key: record(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(record, obj))
+    return obj
+
+
+def _cell(value) -> str:
+    if value is None:
+        return "NA"
+    return str(int(value) if isinstance(value, (bool, np.bool_)) else record(value))
+
+
+def csv_text(header, rows) -> str:
+    """The ``header`` line, then one line per row: a float cell by the float
+    rule, ``None`` as ``NA``, a bool as ``0`` or ``1`` and any other cell as its ``str``."""
+    return "".join(",".join(map(_cell, line)) + "\n" for line in (header, *rows))
 
 
 def _list(value) -> list:

@@ -72,6 +72,7 @@ from .errors import EmptyBackground, NonFiniteInput, TooManyFeatures
 from .features import Feature, model_rows
 from .kan import KanNetwork
 from .mlp import MlpModel
+from .serialize import csv_text
 from .trees import BoostedEnsemble, DecisionTree, Forest
 
 __all__ = [
@@ -454,14 +455,9 @@ def export_summary(explanations) -> str:
     explanations = tuple(explanations)
     ranking = shap_global(explanations).ranking
     q = len(explanations[0].phi)
-    lines = ["feature,rank,instance,shap_value,feature_value"]
-    for rank, col in enumerate(ranking, start=1):
-        for idx, e in enumerate(explanations):
-            lines.append(
-                f"{_feature_label(col, q)},{rank},{_instance_label(e, idx)},"
-                f"{e.phi[col]!r},{e.x[col]!r}"
-            )
-    return "\n".join(lines) + "\n"
+    return csv_text(("feature", "rank", "instance", "shap_value", "feature_value"), [
+        (_feature_label(col, q), rank, _instance_label(e, idx), e.phi[col], e.x[col])
+        for rank, col in enumerate(ranking, start=1) for idx, e in enumerate(explanations)])
 
 
 def export_heatmap(explanations) -> str:
@@ -483,17 +479,14 @@ def export_heatmap(explanations) -> str:
     phi = np.stack([e.phi for e in explanations])  # (n, q)
     order = _average_linkage_order(phi)
     labels = [_instance_label(explanations[i], i) for i in order]
-    lines = ["instance," + ",".join(labels)]
-    lines.append("f(x)," + ",".join(repr(explanations[i].fx) for i in order))
-    for col in g.ranking:
-        row = ",".join(repr(float(phi[i, col])) for i in order)
-        lines.append(f"{_feature_label(col, q)},{row}")
-    lines.append("global_importance")
-    lines.append("feature,importance,percentage")
-    for col in g.ranking:
-        pct = "NA" if g.percentages is None else repr(g.percentages[col])
-        lines.append(f"{_feature_label(col, q)},{g.importance[col]!r},{pct}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("instance", *labels), [
+        ("f(x)", *(explanations[i].fx for i in order)),
+        *((_feature_label(col, q), *phi[order, col]) for col in g.ranking),
+        ("global_importance",),
+        ("feature", "importance", "percentage"),
+        *((_feature_label(col, q), g.importance[col],
+           None if g.percentages is None else g.percentages[col]) for col in g.ranking),
+    ])
 
 
 def _average_linkage_order(phi: np.ndarray) -> list[int]:

@@ -1,5 +1,6 @@
 """Command-line interface: config loading, commands, artifacts, determinism."""
 
+import csv
 import hashlib
 import json
 import math
@@ -220,6 +221,26 @@ def test_eq_eval_prints_display_precision(capsys):
 def test_eq_eval_non_finite_variable_is_usage_error(capsys, value):
     assert main(["eq", "eval", "--set", "simple", "--inputs", "1", f"--x1={value}"]) == 2
     assert capsys.readouterr().err.startswith("rwtkit: x1 must be finite")
+
+
+@pytest.mark.parametrize("argv, flag, value, code", [
+    (["eq", "eval", "--set", "simple", "--inputs", "1"], "--x1", "-1e3", 0),
+    (["eq", "eval", "--set", "simple", "--inputs", "1"], "--x1", "-inf", 2),
+    (["train"], "--kan-lam", "-inf", 2),
+], ids=["x1=-1e3", "x1=-inf", "kan-lam=-inf"])
+def test_flag_value_starting_with_minus_reads_as_joined(capsys, tmp_path, monkeypatch,
+                                                        argv, flag, value, code):
+    # argparse takes a word after a flag for an option when it starts with "-"
+    # and is not a plain number like -1, unless the two are joined by "=".
+    monkeypatch.chdir(tmp_path)
+    outcomes = []
+    for words in ([flag, value], [f"{flag}={value}"]):
+        outcomes.append((main(argv + words), *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    rc, out, err = outcomes[0]
+    assert rc == code
+    assert err.startswith("rwtkit: ") if code == 2 else out == "-849.96\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eq_eval_missing_variable_is_runtime_error(capsys):
@@ -635,7 +656,7 @@ PIPELINE_SHA256 = {
     "report.manifest.json": "4e98aae87c456e8fe4c4ab2fd34e7e9ec10e47c90a937321849547d90751243b",
     "report.md": "8bf028c6a47e6ffd79b78ef24ac78a3fbd7f522f9bf36480539e6937d567cec6",
     "scaler.json": "29cd1b7678782d03c21b68328d102bd8c2ff18f11a6baf2d3834e625674f79e6",
-    "scatter.csv": "ac16b31f659f5f63805af26eb920d95c9112e6b84d3c780633b6d55d5a098cb1",
+    "scatter.csv": "586ae0f289c6bc68d7d58d89db3fa3cf532b1b9b859e17b9a1de5ad0f4c57c47",
     "shap_global.json": "f1a2b089569c00d3e11e2f2e2fa5ef8774cecb111d1ddd9203cd67b6f8166fbc",
     "shap_heatmap.csv": "6ec7a55561276dd8085b478170b6aa81644ce76e0c1478b54424a8b7f702a595",
     "shap_summary.csv": "2ee2785b96f49a01126cb3b17cb1f38cddc1102129f63b4c1a3e27aa8c074b7c",
@@ -667,6 +688,43 @@ def test_pipeline_artifacts_exist(pipeline_dir):
     assert sorted(p.name for p in pipeline_dir.iterdir()) == sorted(PIPELINE_SHA256)
     for name, want in PIPELINE_SHA256.items():
         assert hashlib.sha256(_pinned_bytes(pipeline_dir / name)).hexdigest() == want, name
+
+
+#: The label columns of each CSV artifact but the heatmap; every other cell
+#: is a number.
+CSV_LABEL_COLUMNS = {
+    "per_reservoir.csv": ("reservoir", "model"),
+    "qq.csv": (),
+    "r2_curve.csv": (),
+    "scatter.csv": ("reservoir", "date", "site"),
+    "shap_summary.csv": ("feature", "instance"),
+}
+
+
+def _is_na_or_finite(cell: str) -> bool:
+    try:
+        return cell == "NA" or math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def test_csv_number_cells_are_na_or_finite_floats(pipeline_dir):
+    names = sorted(p.name for p in pipeline_dir.glob("*.csv"))
+    assert names == sorted([*CSV_LABEL_COLUMNS, "shap_heatmap.csv"])
+    cells = []
+    for name, labels in CSV_LABEL_COLUMNS.items():
+        with (pipeline_dir / name).open(newline="") as fh:
+            cells += [(name, key, cell) for row in csv.DictReader(fh)
+                      for key, cell in row.items() if key not in labels]
+    # The heatmap's rows start with a label; its global_importance trailer
+    # has a header line of its own.
+    heatmap = (pipeline_dir / "shap_heatmap.csv").read_text().splitlines()
+    cut = heatmap.index("global_importance")
+    assert heatmap[cut + 1] == "feature,importance,percentage"
+    cells += [("shap_heatmap.csv", line.split(",")[0], cell)
+              for line in heatmap[1:cut] + heatmap[cut + 2:] for cell in line.split(",")[1:]]
+    assert {name for name, _, _ in cells} == set(names)
+    assert [c for c in cells if not _is_na_or_finite(c[2])] == []
 
 
 def test_metrics_artifact_is_well_formed(pipeline_dir):

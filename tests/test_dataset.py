@@ -137,7 +137,7 @@ def test_bad_field_reports_line_number():
 ], ids=["observations", "daily", "morphometry"])
 def test_non_finite_value_is_schema_mismatch(parser, text, message):
     with pytest.raises(SchemaMismatch) as exc:
-        parser(text)
+        parser(io.StringIO(text))
     assert str(exc.value) == message
 
 

@@ -12,9 +12,11 @@ from rwtkit.mlp import mlp_init, mlp_train
 from rwtkit.serialize import (
     FORMAT_NAME,
     FORMAT_VERSION,
+    csv_text,
     from_state,
     load_model,
     model_document,
+    record,
     save_model,
     to_state,
 )
@@ -200,3 +202,27 @@ def test_scaler_state_preserves_awkward_floats():
     assert clone.feature_hi == hi
     assert clone.target_lo == 0.1
     assert clone.target_hi == 39.7
+
+
+# --- the float rule of every artifact -----------------------------------------
+
+
+def test_record_writes_each_float_as_its_repr_at_any_depth():
+    doc = {"a": np.float64(4.205266860984799), "b": None, "c": True, "d": 3, "e": "text",
+           "f": (0.1 + 0.2, (np.float64(-0.0), 7, (2.5,))), "g": [np.float32(0.5)]}
+    assert record(doc) == {"a": "4.205266860984799", "b": None, "c": True, "d": 3, "e": "text",
+                           "f": ["0.30000000000000004", ["-0.0", 7, ["2.5"]]], "g": ["0.5"]}
+    assert record(np.float64(-0.0)) == "-0.0"
+    assert json.loads(json.dumps(record(doc)))["f"][1][0] == "-0.0"
+
+
+def test_csv_text_writes_cells_by_the_float_rule():
+    rows = [("R1", np.float64(4.205266860984799), None, True, 3),
+            ("R2", -0.0, 0.1 + 0.2, np.bool_(False), np.float64(1e-300))]
+    assert csv_text(("site", "x", "y", "best", "n"), rows) == (
+        "site,x,y,best,n\n"
+        "R1,4.205266860984799,NA,1,3\n"
+        "R2,-0.0,0.30000000000000004,0,1e-300\n"
+    )
+    assert csv_text(["a", "b"], []) == "a,b\n"
+    assert float(csv_text(["x"], [(np.float64(0.1),)]).splitlines()[1]) == 0.1
