@@ -11,8 +11,10 @@ does not need.
 After training, each edge function is fitted against a small library of
 closed forms.  Beside the constant and the line, the library is a table of
 swept forms d + c*outer(inner(p1, p2, u)), each written once: a grid sweep
-over the inner parameters (p1, p2) inside a box, exact least squares for the
-outer scale c and offset d, then repeated zooming; entirely deterministic.
+over the inner parameters (p1, p2) inside a box, ranking each grid point by
+the closed-form SSE of its least-squares outer scale c and offset d, from
+centred moments with no residual pass, then repeated zooming; entirely
+deterministic.
 The same inner and outer functions give the sweep's features and the fitted
 prediction.  Each distillation regime names its hidden width and its
 library in one table.  Candidates are scored by R-squared minus a
@@ -324,20 +326,19 @@ def _affine(child: Expr, a: float, b: float) -> Expr:
 def _outer_lstsq(f: np.ndarray, v: np.ndarray):
     """Closed-form (c, d, sse) for v ~ c*f + d along the last axis.
 
-    Every product of ``f``'s size goes through one scratch array.
+    Works from centred moments and centres ``f`` in place (it holds
+    f - mean(f) afterwards): c = sum(fc*vc) / sum(fc**2), and the SSE is
+    sum(vc**2) - c*sum(fc*vc), floored at 0, with no residual pass.
     """
     fm = f.mean(axis=-1)
     vm = v.mean()
-    tmp = np.multiply(f, f)
-    var = tmp.mean(axis=-1) - fm * fm
-    cov = np.multiply(f, v, out=tmp).mean(axis=-1) - fm * vm
+    vc = v - vm
+    fc = np.subtract(f, fm[..., np.newaxis], out=f)
+    sff = np.einsum("...i,...i->...", fc, fc)
+    sfv = fc @ vc
     with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.where(var > 1e-14, cov / np.maximum(var, 1e-300), 0.0)
-    d = vm - c * fm
-    np.multiply(c[..., np.newaxis], f, out=tmp)
-    np.add(tmp, d[..., np.newaxis], out=tmp)
-    np.subtract(v, tmp, out=tmp)
-    return c, d, np.multiply(tmp, tmp, out=tmp).sum(axis=-1)
+        c = np.where(sff > 1e-14 * v.size, sfv / np.maximum(sff, 1e-300), 0.0)
+    return c, vm - c * fm, np.maximum(vc @ vc - c * sfv, 0.0)
 
 
 def _sweep(u, v, inner, outer, guard, p1_lo, p1_hi, p2_lo, p2_hi):
@@ -346,21 +347,25 @@ def _sweep(u, v, inner, outer, guard, p1_lo, p1_hi, p2_lo, p2_hi):
     Grid sweep over (p1, p2) with zooming.  ``inner`` takes the grids
     broadcast to (n1, 1, 1) and (1, n2, 1); ``guard(arg, f)``, if given,
     returns the (n1, n2) mask of admissible grid points from the inner
-    values and the feature.  A fixed second parameter (``p2_lo == p2_hi``)
-    gets a one-point axis.  Deterministic.
+    values and the feature, and runs before :func:`_outer_lstsq` centres the
+    feature in place.  ``u`` must be ascending, so that a ramp's ends bound
+    it.  A fixed second parameter (``p2_lo == p2_hi``) gets a one-point
+    axis.  Each call has one workspace, into which ``inner`` and ``outer``
+    write through ``out=`` at every zoom.  Deterministic.
     """
+    n2 = 1 if p2_lo == p2_hi else _SWEEP_STEPS
+    work = np.empty((2, _SWEEP_STEPS, n2, u.size))
     best = None
     for _ in range(_SWEEP_ZOOMS):
         p1_grid = np.linspace(p1_lo, p1_hi, _SWEEP_STEPS)
-        p2_grid = np.linspace(p2_lo, p2_hi, 1 if p2_lo == p2_hi else _SWEEP_STEPS)
+        p2_grid = np.linspace(p2_lo, p2_hi, n2)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            arg = inner(p1_grid[:, np.newaxis, np.newaxis], p2_grid[np.newaxis, :, np.newaxis], u)
-            f = outer(arg)
+            arg = inner(p1_grid[:, np.newaxis, np.newaxis], p2_grid[np.newaxis, :, np.newaxis], u,
+                        out=work[0])
+            f = outer(arg, out=work[1])
+            ok = True if guard is None else guard(arg, f)
             c, d, sse = _outer_lstsq(f, v)
-        bad = ~np.isfinite(sse)
-        if guard is not None:
-            bad |= ~guard(arg, f)
-        sse = np.where(bad, np.inf, sse)
+        sse = np.where(ok & np.isfinite(sse), sse, np.inf)
         flat = int(np.argmin(sse))
         i1, i2 = np.unravel_index(flat, sse.shape)
         if not np.isfinite(sse[i1, i2]):
@@ -382,7 +387,10 @@ def _swept(name, n_params, inner, outer, guard, box, build):
     ``box(lo, hi, pad)`` gives the first sweep's (p1_lo, p1_hi, p2_lo,
     p2_hi) from the edge's input range [lo, hi], with ``pad`` its width
     floored at 0.1.  A 3-parameter candidate fixes p2 in its box and
-    leaves it out of its params (p1, c, d).
+    leaves it out of its params (p1, c, d).  ``inner`` and ``outer`` take an
+    optional ``out=`` array, the sweep's one workspace; ``guard`` runs
+    before the moments centre ``f`` in place, and bounds a ramp by its two
+    ends, so ``u`` must be ascending (:func:`kan_snap` samples a linspace).
     """
 
     def fit(u, v):
@@ -399,20 +407,21 @@ def _swept(name, n_params, inner, outer, guard, box, build):
 
 
 def _guard_away_from_zero(arg, f):
-    # arg is monotone along the sorted grid, so a sign change between its
-    # ends is a zero in between, however far from zero the grid points are
-    one_sign = np.sign(arg[..., 0]) == np.sign(arg[..., -1])
-    return one_sign & (np.min(np.abs(arg), axis=-1) >= _RANGE_GUARD)
+    # arg is monotone along the ascending samples, so its ends bound it: a
+    # sign change between them is a zero in between, however far from zero
+    # the samples are, and otherwise the end nearer zero is its least |arg|
+    lo, hi = arg[..., 0], arg[..., -1]
+    return (np.sign(lo) == np.sign(hi)) & (np.minimum(np.abs(lo), np.abs(hi)) >= _RANGE_GUARD)
 
 
 def _guard_positive(arg, f):
-    return np.min(arg, axis=-1) >= _RANGE_GUARD
+    return np.minimum(arg[..., 0], arg[..., -1]) >= _RANGE_GUARD
 
 
 def _guard_tan(arg, f):
     # |cos| >= 1e-2 is |tan| <= 99.995, so only a peak |tan| near that needs the cos test
     valid = np.abs(arg[..., -1] - arg[..., 0]) < np.pi
-    peak = np.max(np.abs(f), axis=-1)
+    peak = np.maximum(f.max(axis=-1), -f.min(axis=-1))
     near = valid & (peak > 99.0) & (peak < 101.0)
     valid &= peak <= 99.0
     valid[near] = np.min(np.abs(np.cos(arg[near])), axis=-1) >= 1e-2
@@ -420,7 +429,7 @@ def _guard_tan(arg, f):
 
 
 def _guard_exp(arg, f):
-    return np.max(np.abs(arg), axis=-1) <= 50.0
+    return np.maximum(np.abs(arg[..., 0]), np.abs(arg[..., -1])) <= 50.0
 
 
 def _fit_constant(u, v):
@@ -433,8 +442,8 @@ def _fit_linear(u, v):
     return (float(a), float(b)), a * u + b
 
 
-def _ramp(a, b, u):
-    return a * u + b
+def _ramp(a, b, u, out=None):
+    return np.add(a * u, b, out=out)
 
 
 def _wide(lo, hi, pad):
@@ -467,17 +476,20 @@ def _over(power):
 # outer(t), guard(arg, f), box(lo, hi, pad) and the expression builder.
 _CONSTANT = _Candidate("constant", 1, _fit_constant, lambda x, p: const(p[0]))
 _LINEAR = _Candidate("linear", 2, _fit_linear, lambda x, p: _affine(x, p[0], p[1]))
-_RECIP = _swept("reciprocal", 4, _ramp, lambda t: 1.0 / t, _guard_away_from_zero, _wide,
-                _over(1))
-_RECIP2 = _swept("reciprocal_sq", 4, _ramp, lambda t: 1.0 / (t * t), _guard_away_from_zero,
-                 _wide, _over(2))
-_SQSHIFT = _swept("sq_shift", 3, lambda a, b, u: (a - u) * (a - u), lambda t: t, None,
-                  lambda lo, hi, pad: (lo - 3 * pad, hi + 3 * pad, 0.0, 0.0),
+_RECIP = _swept("reciprocal", 4, _ramp, lambda t, out=None: np.divide(1.0, t, out=out),
+                _guard_away_from_zero, _wide, _over(1))
+_RECIP2 = _swept("reciprocal_sq", 4, _ramp,
+                 lambda t, out=None: np.divide(1.0, np.multiply(t, t, out=out), out=out),
+                 _guard_away_from_zero, _wide, _over(2))
+_SQSHIFT = _swept("sq_shift", 3, lambda a, b, u, out=None: np.subtract(a, u, out=out),
+                  np.square, None, lambda lo, hi, pad: (lo - 3 * pad, hi + 3 * pad, 0.0, 0.0),
                   lambda x, p: _affine(Pow(simplify(add(const(p[0]), Neg(x))), 2), p[1], p[2]))
 _EXP = _swept("exp", 3, _ramp, np.exp, _guard_exp, lambda lo, hi, pad: (-10.0, 10.0, 0.0, 0.0),
               lambda x, p: _affine(Call("exp", simplify(mul(const(p[0]), x))), p[1], p[2]))
-_GAUSS = _swept("gauss", 4, lambda k, m, u: -k * (u - m) * (u - m), np.exp, None,
-                lambda lo, hi, pad: (0.1, 30.0, lo - pad, hi + pad), _build_gauss)
+_GAUSS = _swept("gauss", 4,
+                lambda k, m, u, out=None: np.multiply(np.multiply(-k, u - m, out=out), u - m,
+                                                      out=out),
+                np.exp, None, lambda lo, hi, pad: (0.1, 30.0, lo - pad, hi + pad), _build_gauss)
 _COS = _swept("cos", 4, _ramp, np.cos, None, _wide, _called("cos"))
 _TAN = _swept("tan", 4, _ramp, np.tan, _guard_tan, _wide, _called("tan"))
 _TANH = _swept("tanh", 4, _ramp, np.tanh, None, _wide, _called("tanh"))

@@ -526,18 +526,41 @@ def test_explain_on_a_short_test_split_warns(tmp_path, capsys):
 #: SHA-256 of a complex-regime kan-run on 40 synthetic profiles (x86-64 Linux,
 #: numpy 2.4).  Any change to spline training or snapping shows up here.
 KAN_RUN_SHA256 = {
-    "kan_records.jsonl": "5296ecfa78ed00c640118197e98d12a8d3c3a39f86f3bec49cc88f095853de48",
+    "kan_records.jsonl": "cc5ab84a7d2cc3c457692e75b5afc465b2db5e984d0b1701e38d1af299bfaf10",
     "r2_curve.csv": "df4d301836cf2a18c7b1076e8e74b5993e3b28bec18d493cc99274e24cc92832",
 }
 
 
+#: The commands of that run, each followed by ``--out``.
+KAN_RUN_COMMANDS = (
+    ["ingest", "--synthetic", "--synth-profiles", "40"],
+    ["kan-run", "--kan-regime", "complex", "--kan-ordering", "1,2", "--kan-seeds", "0",
+     "--kan-steps", "100"],
+)
+
+
 def test_kan_run_outputs_match_pinned_bytes(tmp_path):
     base = ["--out", str(tmp_path / "r")]
-    assert main(["ingest", "--synthetic", "--synth-profiles", "40"] + base) == 0
-    assert main(["kan-run", "--kan-regime", "complex", "--kan-ordering", "1,2",
-                 "--kan-seeds", "0", "--kan-steps", "100"] + base) == 0
+    for argv in KAN_RUN_COMMANDS:
+        assert main(argv + base) == 0
     for name, want in KAN_RUN_SHA256.items():
         assert hashlib.sha256((tmp_path / "r" / name).read_bytes()).hexdigest() == want, name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_kan_run_records_do_not_depend_on_blas_threads(tmp_path, threads):
+    # The snap ranks its grid with a BLAS matrix-vector product, and OpenBLAS
+    # reads its thread count at start-up; the benchmark runs one thread and
+    # users run many.
+    base = ["--out", str(tmp_path / "r")]
+    code = (f"from rwtkit.cli import main\nfor argv in {KAN_RUN_COMMANDS!r}:\n"
+            f"    assert main(argv + {base!r}) == 0\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": str(Path(rwtkit.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=300,
+                   check=True)
+    records = (tmp_path / "r" / "kan_records.jsonl").read_bytes()
+    assert hashlib.sha256(records).hexdigest() == KAN_RUN_SHA256["kan_records.jsonl"]
 
 
 @pytest.mark.parametrize("module", ["scipy.cluster", "concurrent.futures.process",
@@ -641,7 +664,7 @@ PIPELINE_SHA256 = {
     "explain.manifest.json": "907b9ed3f7ebb25bd2799031797dc9bb54818baffd893c33441b59455d343758",
     "ingest.manifest.json": "2a83340c7baf9dbdcc4af61c9b583645ab6b74d1fa61c985a1410fae47f06ea9",
     "ingest_notes.json": "ed1549888ecb8d2aa742079009becf8cb923ac5914a3b5211ce9d3aa7cb104d6",
-    "kan_records.jsonl": "bf24aaddabfb2b431d9a9d65fe3f628f9bac4b39862c8e1d665e966a2e23e098",
+    "kan_records.jsonl": "f556df30ad9fc4ef966024185c30a0bfa280d3a5833c44a426b80841a22309eb",
     "kan_run.manifest.json": "032ffeb0fabb11c1309d74903d14bd546d0207811d22ec3552b55e138a08a21e",
     "metrics.json": "3f8fc1c272bead2060b7a20d05bd687547148a4a57f3bcd240b8393e4c8794fa",
     "model_cart.json": "6393ed62dcc9e230d75fa228416b5391b3c2cd49fe03272c3839fdc1182a41d7",

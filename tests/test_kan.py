@@ -509,46 +509,46 @@ def test_snap_complex_library_handles_gaussian_bump():
 
 #: Edge fits of the seeded (3, 3, 1) network below, trained through the
 #: batched-matmul kernel and captured from the dense basis and the full
-#: 25 x 25 sweep (numpy 2.4, x86-64): (layer, out, in, candidate, r2,
-#: params).  The exp and sq_shift sweeps hold their second parameter at 0, so
+#: 25 x 25 sweep ranked by centred moments (numpy 2.4, x86-64): (layer, out,
+#: in, candidate, r2, params).  The exp and sq_shift sweeps hold their second parameter at 0, so
 #: they may not pick a different first parameter.
 SNAP_3_3_1 = [
     (0, 0, 0, "tan", 0.94670129508145,
-     (-2.465277777777778, 7.515432098765432, -0.08681936920183218, 0.14788479099798962)),
+     (-2.465277777777778, 7.515432098765432, -0.08681936920183217, 0.14788479099798962)),
     (0, 0, 1, "cos", 0.9472922700540083,
-     (-9.64891975308642, -2.681327160493827, 0.0471544789882024, 0.06254062132615605)),
+     (-9.64891975308642, -2.681327160493827, 0.04715447898820241, 0.06254062132615605)),
     (0, 0, 2, "exp", 0.8868608374073041,
-     (-2.20679012345679, 0.17810486011472662, -0.055211586057326685)),
+     (-2.20679012345679, 0.1781048601147267, -0.05521158605732673)),
     (0, 1, 0, "gauss", 0.9807552721372194,
-     (6.109992283950616, 0.9593575608948659, 0.33729612339765824, -0.0003799455899602955)),
+     (6.109992283950616, 0.9593575608948659, 0.33729612339765813, -0.0003799455899602677)),
     (0, 1, 1, "linear", 0.9363542688161417,
      (0.19988378724799993, -0.024322310916136288)),
     (0, 1, 2, "tanh", 0.8333782818335546,
-     (-11.990740740740739, 5.104166666666669, 0.021802726455633213, 0.05574186393133497)),
+     (-11.990740740740739, 5.104166666666669, 0.0218027264556332, 0.05574186393133497)),
     (0, 2, 0, "linear", 0.9856098132206484,
      (0.6050861840137011, -0.06419780257454048)),
     (0, 2, 1, "tan", 0.726870403166785,
-     (-2.8472222222222223, -1.6242283950617278, 0.007209799216556234, 0.02121468257723977)),
+     (-2.8472222222222223, -1.6242283950617278, 0.007209799216556238, 0.021214682577239765)),
     (0, 2, 2, "linear", 0.9512258966056942,
      (-0.2838968112336749, 0.11419539650632643)),
     (1, 0, 0, "tan", 0.9544198246858004,
-     (-3.5455246913580245, 0.8873456790123465, -0.13132795505315453, 0.10158708059800937)),
+     (-3.5455246913580245, 0.8873456790123463, -0.13132795505315453, 0.10158708059800932)),
     (1, 0, 1, "cos", 0.9986925662227762,
-     (-8.892746913580245, 4.108796296296298, 0.09111579706786216, 0.08083862857829366)),
+     (-8.892746913580245, 4.108796296296298, 0.09111579706786219, 0.08083862857829366)),
     (1, 0, 2, "linear", 0.961870230852241,
      (0.73066971870972, -0.055436148505552035)),
 ]
 SNAP_3_3_1_TEXT = (
-    "-(0.13132795505315453*tan(-(3.5455246913580245*(-(0.08681936920183218*tan("
+    "-(0.13132795505315453*tan(-(3.5455246913580245*(-(0.08681936920183217*tan("
     "-(2.465277777777778*x1) + 7.515432098765432)))) - "
-    "0.16718736956079477*cos(-(9.64891975308642*x2) - 2.681327160493827) - "
-    "0.6314751791876302*exp(-(2.20679012345679*x3)) + 0.337031225543185)) + "
-    "0.09111579706786216*cos(-(2.999489060307107*exp(-(6.109992283950616*(x1 - "
+    "0.1671873695607948*cos(-(9.64891975308642*x2) - 2.681327160493827) - "
+    "0.6314751791876305*exp(-(2.20679012345679*x3)) + 0.337031225543185)) + "
+    "0.09111579706786219*cos(-(2.999489060307106*exp(-(6.109992283950616*(x1 - "
     "0.9593575608948659)^2))) - 1.7775159321243819*x2 - "
-    "0.1938861283959666*tanh(-(11.990740740740739*x3) + 5.104166666666669) + "
+    "0.1938861283959665*tanh(-(11.990740740740739*x3) + 5.104166666666669) + "
     "3.8327689231667663) + 0.44211815186842884*x1 + "
-    "0.005267981965514703*tan(-(2.8472222222222223*x2) - 1.6242283950617278) + "
-    "0.73066971870972*(-(0.2838968112336749*x3)) + 0.1790222147162796"
+    "0.005267981965514705*tan(-(2.8472222222222223*x2) - 1.6242283950617278) + "
+    "0.73066971870972*(-(0.2838968112336749*x3)) + 0.17902221471627955"
 )
 
 
@@ -594,46 +594,47 @@ _ENTRY_FORMS = {
 }
 
 #: Each entry's fit of a noisy edge drawn from its own form (see the test),
-#: captured with the candidate fitters that wrote each form by hand (numpy
-#: 2.4, x86-64): (params, r2, built expression).
+#: captured from the sweep ranked by centred moments (numpy 2.4, x86-64):
+#: (params, r2, built expression).  The reciprocal and tanh fits are the
+#: mirrors, with the same r2, of those the residual-pass sweep picked.
 ENTRY_FITS = {
     "constant": ((0.6704430546715471,), 0.0, "0.6704430546715471"),
     "linear": ((1.7712405323714815, -0.2804888241619393), 0.999604090789531,
                "1.7712405323714815*x1 - 0.2804888241619393"),
-    "reciprocal": ((10.11574074074074, 8.287037037037036, -3.2542906480730647,
-                    0.0015298326846775456), 0.9715299381402371,
-                   "-3.2542906480730647/(10.11574074074074*x1 + 8.287037037037036) + "
-                   "0.0015298326846775456"),
-    "reciprocal_sq": ((-7.222222222222223, -3.749999999999999, -8.839728159267176,
-                       -0.003164655042861314), 0.9952137814156746,
-                      "-8.839728159267176/(-(7.222222222222223*x1) - 3.749999999999999)^2 - "
-                      "0.003164655042861314"),
+    "reciprocal": ((-10.115740740740739, -8.287037037037038, 3.254290648073085,
+                    0.0015298326846791555), 0.9715299381402371,
+                   "3.254290648073085/(-(10.115740740740739*x1) - 8.287037037037038) + "
+                   "0.0015298326846791555"),
+    "reciprocal_sq": ((-7.222222222222223, -3.749999999999999, -8.839728159267182,
+                       -0.0031646550428611753), 0.9952137814156746,
+                      "-8.839728159267182/(-(7.222222222222223*x1) - 3.749999999999999)^2 - "
+                      "0.0031646550428611753"),
     "sq_shift": ((0.6161265432098769, 0.6856571267399316, -0.0003915940951978031),
                  0.980701390109931,
                  "0.6856571267399316*(-x1 + 0.6161265432098769)^2 - 0.0003915940951978031"),
-    "exp": ((2.9475308641975317, 0.27683019691788885, -0.0010935459297221062),
+    "exp": ((2.9475308641975317, 0.2768301969178889, -0.0010935459297225503),
             0.9999399073874771,
-            "0.27683019691788885*exp(2.9475308641975317*x1) - 0.0010935459297221062"),
-    "gauss": ((5.6716435185185174, 0.34953703703703703, 0.9579986789096628,
-               0.0073555851106399395), 0.9987348334109456,
-              "0.9579986789096628*exp(-(5.6716435185185174*(x1 - 0.34953703703703703)^2)) + "
-              "0.0073555851106399395"),
+            "0.2768301969178889*exp(2.9475308641975317*x1) - 0.0010935459297225503"),
+    "gauss": ((5.6716435185185174, 0.34953703703703703, 0.9579986789096623,
+               0.0073555851106403836), 0.9987348334109456,
+              "0.9579986789096623*exp(-(5.6716435185185174*(x1 - 0.34953703703703703)^2)) + "
+              "0.0073555851106403836"),
     "cos": ((-4.861111111111111, -0.011574074074074063, 0.2976284385110366,
              0.000685428476185912), 0.9974685373194018,
             "0.2976284385110366*cos(-(4.861111111111111*x1) - 0.011574074074074063) + "
             "0.000685428476185912"),
-    "tanh": ((5.817901234567903, -3.541666666666666, 0.7123283481900454,
-              0.0008240507550297815), 0.9996384808591818,
-             "0.7123283481900454*tanh(5.817901234567903*x1 - 3.541666666666666) + "
-             "0.0008240507550297815"),
-    "tan": ((1.8672839506172854, -0.9259259259259247, 0.08458630439601385,
-             -0.0017309066567881832), 0.9741611980638676,
-            "0.08458630439601385*tan(1.8672839506172854*x1 - 0.9259259259259247) - "
-            "0.0017309066567881832"),
-    "log": ((4.691358024691358, 1.1689814814814823, 0.8545004089225308,
-             -0.3589004124969064), 0.9992661171373736,
-            "0.8545004089225308*log(4.691358024691358*x1 + 1.1689814814814823) - "
-            "0.3589004124969064"),
+    "tanh": ((-5.817901234567901, 3.541666666666668, -0.7123283481900455,
+              0.0008240507550304754), 0.9996384808591818,
+             "-(0.7123283481900455*tanh(-(5.817901234567901*x1) + 3.541666666666668)) + "
+             "0.0008240507550304754"),
+    "tan": ((1.8672839506172854, -0.9259259259259247, 0.08458630439601383,
+             -0.0017309066567881828), 0.9741611980638676,
+            "0.08458630439601383*tan(1.8672839506172854*x1 - 0.9259259259259247) - "
+            "0.0017309066567881828"),
+    "log": ((4.691358024691358, 1.1689814814814823, 0.8545004089225321,
+             -0.35890041249690796), 0.9992661171373736,
+            "0.8545004089225321*log(4.691358024691358*x1 + 1.1689814814814823) - "
+            "0.35890041249690796"),
 }
 
 
@@ -809,6 +810,187 @@ def test_guard_tan_matches_cos_guard_on_non_finite_rows():
     _assert_tan_guard_matches(rows[:, np.newaxis, :])
     _assert_tan_guard_matches(rows[:, np.newaxis, :1])
     _assert_tan_guard_matches(rows[:, :, np.newaxis])
+
+
+# --- the sweep's kernels against their full-pass references ------------------
+
+
+def _residual_outer_lstsq(f, v):
+    """_outer_lstsq with raw moments and a pass over the residual: its oracle."""
+    fm = f.mean(axis=-1)
+    vm = v.mean()
+    var = (f * f).mean(axis=-1) - fm * fm
+    cov = (f * v).mean(axis=-1) - fm * vm
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = np.where(var > 1e-14, cov / np.maximum(var, 1e-300), 0.0)
+    d = vm - c * fm
+    return c, d, ((v - (c[..., np.newaxis] * f + d[..., np.newaxis])) ** 2).sum(axis=-1)
+
+
+def _full_pass_guard_away_from_zero(arg, f):
+    one_sign = np.sign(arg[..., 0]) == np.sign(arg[..., -1])
+    return one_sign & (np.min(np.abs(arg), axis=-1) >= kan_module._RANGE_GUARD)
+
+
+def _full_pass_guard_positive(arg, f):
+    return np.min(arg, axis=-1) >= kan_module._RANGE_GUARD
+
+
+def _full_pass_guard_tan(arg, f):
+    valid = np.abs(arg[..., -1] - arg[..., 0]) < np.pi
+    peak = np.max(np.abs(f), axis=-1)
+    near = valid & (peak > 99.0) & (peak < 101.0)
+    valid &= peak <= 99.0
+    valid[near] = np.min(np.abs(np.cos(arg[near])), axis=-1) >= 1e-2
+    return valid
+
+
+def _full_pass_guard_exp(arg, f):
+    return np.max(np.abs(arg), axis=-1) <= 50.0
+
+
+#: Each guard of the library with its full-pass oracle, which reads every
+#: sample, and the outer form whose feature it is given.
+_FULL_PASS_GUARDS = {
+    kan_module._guard_away_from_zero: (_full_pass_guard_away_from_zero, lambda t: 1.0 / t),
+    kan_module._guard_positive: (_full_pass_guard_positive, np.log),
+    kan_module._guard_tan: (_full_pass_guard_tan, np.tan),
+    kan_module._guard_exp: (_full_pass_guard_exp, np.exp),
+}
+
+
+def _reference_sweep(u, v, inner, outer, guard, p1_lo, p1_hi, p2_lo, p2_hi):
+    """_sweep with the residual pass, the full-pass guards and fresh arrays at every zoom."""
+    steps = kan_module._SWEEP_STEPS
+    best = None
+    for _ in range(kan_module._SWEEP_ZOOMS):
+        p1_grid = np.linspace(p1_lo, p1_hi, steps)
+        p2_grid = np.linspace(p2_lo, p2_hi, 1 if p2_lo == p2_hi else steps)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            arg = inner(p1_grid[:, np.newaxis, np.newaxis], p2_grid[np.newaxis, :, np.newaxis], u)
+            f = outer(arg)
+            c, d, sse = _residual_outer_lstsq(f, v)
+            bad = ~np.isfinite(sse)
+            if guard is not None:
+                bad |= ~_FULL_PASS_GUARDS[guard][0](arg, f)
+        sse = np.where(bad, np.inf, sse)
+        i1, i2 = np.unravel_index(int(np.argmin(sse)), sse.shape)
+        if not np.isfinite(sse[i1, i2]):
+            return best
+        cand = (float(sse[i1, i2]), float(p1_grid[i1]), float(p2_grid[i2]),
+                float(c[i1, i2]), float(d[i1, i2]))
+        if best is None or cand[0] < best[0]:
+            best = cand
+        step1 = (p1_hi - p1_lo) / (steps - 1)
+        step2 = (p2_hi - p2_lo) / (steps - 1)
+        p1_lo, p1_hi = best[1] - 2 * step1, best[1] + 2 * step1
+        p2_lo, p2_hi = best[2] - 2 * step2, best[2] + 2 * step2
+    return best
+
+
+def _ramp_grids(rng, count):
+    """Ramp grids a*u + b over ascending samples u, as the sweep builds them.
+
+    Each grid puts its first ramp on a corner of the guards: a zero, a tan
+    pole, |cos| = 1e-2, the 1e-3 bound or the exp bound 50, on a sample or
+    between two.  The grids also cover zero-width u, spans of pi and more,
+    slopes up to 1e4 and one-point p2 axes.
+    """
+    targets = (0.0, np.pi / 2, -np.pi / 2, 3 * np.pi / 2, np.arccos(1e-2), -np.arccos(1e-2),
+               1e-3, -1e-3, 50.0, -50.0)
+    for i in range(count):
+        n = int(rng.choice([1, 2, 3, 16, 256]))
+        lo = rng.uniform(-3.0, 3.0)
+        width = 0.0 if i % 7 == 0 else 10.0 ** rng.uniform(-4.0, 1.0)
+        u = np.linspace(lo, lo + width, n) if i % 2 else np.sort(rng.uniform(lo, lo + width, n))
+        a = rng.uniform(-1.0, 1.0, int(rng.integers(1, 6))) * 10.0 ** rng.uniform(-3.0, 4.0)
+        b = rng.uniform(-60.0, 60.0, 1 if i % 3 == 0 else int(rng.integers(2, 6)))
+        k = int(rng.integers(n))
+        at = u[k] if i % 4 < 2 or k == 0 else 0.5 * (u[k - 1] + u[k])
+        b[0] = targets[i % len(targets)] - a[0] * at
+        yield kan_module._ramp(a[:, np.newaxis, np.newaxis], b[np.newaxis, :, np.newaxis], u)
+
+
+def test_guards_read_at_the_ramp_ends_match_the_full_pass():
+    rng = np.random.default_rng(24)
+    seen = {guard: set() for guard in _FULL_PASS_GUARDS}
+    for arg in _ramp_grids(rng, 2400):
+        for guard, (reference, outer) in _FULL_PASS_GUARDS.items():
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                f = outer(arg)
+                got, want = guard(arg, f), reference(arg, f)
+            assert got.shape == want.shape == arg.shape[:-1] and got.dtype == want.dtype
+            assert np.array_equal(got, want), (guard.__name__, arg)
+            seen[guard].update(np.unique(want).tolist())
+    assert all(values == {False, True} for values in seen.values())
+
+
+def test_centred_moments_match_the_residual_pass():
+    rng = np.random.default_rng(17)
+    n = kan_module._SNAP_SAMPLES
+    for _ in range(300):
+        grid = (int(rng.integers(1, 6)), int(rng.integers(1, 6)), 1)
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        v = scale * (rng.normal(size=n) + rng.uniform(-3.0, 3.0))
+        slope = rng.choice([-1.0, 1.0], grid) * rng.uniform(0.5, 3.0, grid)
+        offset = scale * rng.choice([-1.0, 1.0], grid) * rng.uniform(0.5, 3.0, grid)
+        noise = scale * 10.0 ** rng.uniform(-3.0, -0.5, grid)
+        f = slope * v + offset + noise * rng.normal(size=grid[:2] + (n,))
+        want_c, want_d, want_sse = _residual_outer_lstsq(f, v)
+        centred = f.copy()
+        c, d, sse = kan_module._outer_lstsq(centred, v)
+        assert np.array_equal(centred, f - f.mean(axis=-1, keepdims=True))
+        sst = np.sum((v - v.mean()) ** 2)
+        np.testing.assert_allclose(c, want_c, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(d, want_d, rtol=1e-9, atol=0.0)
+        assert np.abs(sse - want_sse).max() <= 1e-9 * sst
+        # a constant feature fits with c = 0, whatever its size
+        c, d, sse = kan_module._outer_lstsq(np.full((1, 1, n), offset[0, 0, 0]), v)
+        assert c[0, 0] == 0.0 and d[0, 0] == v.mean() and abs(sse[0, 0] - sst) <= 1e-9 * sst
+        # an exact affine feature leaves no residual, and the SSE is never negative
+        c, d, sse = kan_module._outer_lstsq(slope * v + offset, v)
+        assert np.all(sse >= 0.0) and sse.max() <= 1e-9 * sst
+
+
+@pytest.mark.parametrize("index", [i for i, cand in enumerate(COMPLEX_LIBRARY)
+                                   if cand.name not in ("constant", "linear")],
+                         ids=lambda i: COMPLEX_LIBRARY[i].name)
+def test_sweep_returns_the_reference_grid_point_or_its_mirror(monkeypatch, index):
+    # The edges of test_every_library_entry_fits_its_own_form_as_captured.
+    # The closed-form SSE differs from the residual's in its last bits, so
+    # an exact mirror tie, d + c*g(a*u + b) against d - c*g(-a*u - b) for an
+    # odd g, may resolve to the other side.
+    cand = COMPLEX_LIBRARY[index]
+    r = np.random.default_rng(100 + index)
+    u = np.linspace(0.0, 1.0, 256)
+    v = _ENTRY_FORMS[cand.name](r, u) + 0.01 * r.normal(size=u.size)
+    sweeps = []
+    sweep = kan_module._sweep
+    monkeypatch.setattr(kan_module, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    cand.fit(u, v)
+    (args,) = sweeps
+    inner, outer = args[2], args[3]
+    _, p1, p2, c, d = sweep(*args)
+    _, q1, q2, qc, qd = _reference_sweep(*args)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r2 = kan_module._edge_r2(v, c * outer(inner(p1, p2, u)) + d)
+        want_r2 = kan_module._edge_r2(v, qc * outer(inner(q1, q2, u)) + qd)
+    assert abs(r2 - want_r2) <= 1e-15
+    if not np.allclose((p1, p2), (q1, q2), rtol=1e-9, atol=0.0):
+        q1, q2, qc = -q1, -q2, -qc
+    np.testing.assert_allclose((p1, p2, c, d), (q1, q2, qc, qd), rtol=1e-9, atol=0.0)
+
+
+def test_sweep_guard_reads_the_feature_before_it_is_centred():
+    u = np.linspace(0.0, 1.0, 256)
+    seen = []
+
+    def guard(arg, f):
+        seen.append(np.array_equal(f, np.exp(arg)))
+        return np.ones(arg.shape[:-1], dtype=bool)
+
+    kan_module._sweep(u, np.exp(u), kan_module._ramp, np.exp, guard, -1.0, 1.0, -1.0, 1.0)
+    assert seen == [True] * kan_module._SWEEP_ZOOMS
 
 
 # --- incremental experiment --------------------------------------------------
