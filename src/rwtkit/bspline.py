@@ -89,12 +89,8 @@ class CubicSplineBasis:
         """Basis matrix with shape ``u.shape + (n_basis,)``."""
         return self._local(u, _VALUE_PIECES)[0]
 
-    def derivative(self, u) -> np.ndarray:
-        """Derivative of each basis function, same shape as :meth:`evaluate`."""
-        return self._local(u, _SLOPE_PIECES)[0] / self.step
-
     def evaluate_with_derivative(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """Values and derivatives in one pass (:meth:`evaluate`, :meth:`derivative`)."""
+        """:meth:`evaluate` and each basis function's derivative, in one pass."""
         values, slopes = self._local(u, _VALUE_PIECES, _SLOPE_PIECES)
         return values, slopes / self.step
 

@@ -21,8 +21,9 @@ library in one table.  Candidates are scored by R-squared minus a
 per-parameter penalty, rational candidates with a pole inside the edge's
 reachable input range are rejected, a candidate that cannot win even at
 R-squared 1 is not fitted, and the winning forms are composed layer by
-layer into one expression, which is checked against the network before it
-is returned.
+layer into one expression, checked against the network before it is
+returned (through :mod:`rwtkit.symbolic`, which writes each unary
+function's value, slope and domain rule once, in one table and one check).
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ __all__ = [
     "COMPLEX_LIBRARY",
 ]
 
-#: Denominators (and log arguments) must stay at least this far from zero
-#: across an edge's reachable range for a rational/log candidate to be valid.
+#: Denominators must stay at least this far from zero across an edge's
+#: reachable range for a rational candidate to be valid.
 _RANGE_GUARD = 1e-3
 
 #: Grid resolution and zoom rounds for the inner-parameter sweep.
@@ -414,10 +415,6 @@ def _guard_away_from_zero(arg, f):
     return (np.sign(lo) == np.sign(hi)) & (np.minimum(np.abs(lo), np.abs(hi)) >= _RANGE_GUARD)
 
 
-def _guard_positive(arg, f):
-    return np.minimum(arg[..., 0], arg[..., -1]) >= _RANGE_GUARD
-
-
 def _guard_tan(arg, f):
     # |cos| >= 1e-2 is |tan| <= 99.995, so only a peak |tan| near that needs the cos test
     valid = np.abs(arg[..., -1] - arg[..., 0]) < np.pi
@@ -493,7 +490,6 @@ _GAUSS = _swept("gauss", 4,
 _COS = _swept("cos", 4, _ramp, np.cos, None, _wide, _called("cos"))
 _TAN = _swept("tan", 4, _ramp, np.tan, _guard_tan, _wide, _called("tan"))
 _TANH = _swept("tanh", 4, _ramp, np.tanh, None, _wide, _called("tanh"))
-_LOG = _swept("log", 4, _ramp, np.log, _guard_positive, _wide, _called("log"))
 
 #: Candidate order is the tie-break order: earlier wins on equal score.
 SIMPLE_LIBRARY: tuple[_Candidate, ...] = (_CONSTANT, _LINEAR, _RECIP, _RECIP2)
@@ -508,7 +504,6 @@ COMPLEX_LIBRARY: tuple[_Candidate, ...] = (
     _COS,
     _TANH,
     _TAN,
-    _LOG,
 )
 
 #: Each distillation regime's hidden width and snap library.

@@ -11,9 +11,11 @@ Text form and tree form are interconvertible: ``parse_expression`` and
 Constants remember the exact digits they were written with, so parsing and
 reprinting never changes published precision.
 
-Evaluation is vectorized over numpy arrays.  Denominators within 1e-12 of
-zero raise :class:`~rwtkit.errors.PoleError` (tangent guards the cosine of
-its argument the same way); ``log`` of a non-positive value raises
+Evaluation is vectorized over numpy arrays.  Each unary function's value,
+chain-rule slope and domain rule are written once, in one table and one
+check that values and partials share.  Denominators within 1e-12 of zero
+raise :class:`~rwtkit.errors.PoleError` (tangent guards the cosine of its
+argument the same way); ``log`` of a non-positive value raises
 :class:`~rwtkit.errors.DomainError`.
 """
 
@@ -62,8 +64,16 @@ __all__ = [
 #: counts as a pole.
 POLE_EPS = 1e-12
 
-#: Supported unary function names.
-FUNCTIONS = frozenset({"cos", "tan", "tanh", "exp", "log"})
+#: The supported unary functions: each one's value v at a, and its slope
+#: given a, v and the slope d of a.
+_UNARY = {
+    "cos": (np.cos, lambda a, v, d: -np.sin(a) * d),
+    "tan": (np.tan, lambda a, v, d: d / (np.cos(a) * np.cos(a))),
+    "tanh": (np.tanh, lambda a, v, d: (1.0 - v * v) * d),
+    "exp": (np.exp, lambda a, v, d: v * d),
+    "log": (np.log, lambda a, v, d: d / a),
+}
+FUNCTIONS = frozenset(_UNARY)
 
 #: Variables run x1..x10, matching the canonical feature order.
 MAX_VARIABLES = 10
@@ -462,6 +472,14 @@ def _check_pole(denominator, context: str) -> None:
         raise PoleError(f"{context} within {POLE_EPS} of zero")
 
 
+def _check_domain(func: str, arg) -> None:
+    """Raise at a pole of tan or at a log argument that is not positive."""
+    if func == "tan":
+        _check_pole(np.cos(arg), "cos of tan argument")
+    elif func == "log" and np.any(np.asarray(arg) <= 0.0):
+        raise DomainError("log of non-positive value")
+
+
 def _eval(expr: Expr, values: dict):
     if isinstance(expr, Const):
         return expr.value
@@ -491,19 +509,8 @@ def _eval(expr: Expr, values: dict):
         return -_eval(expr.operand, values)
     if isinstance(expr, Call):
         arg = _eval(expr.arg, values)
-        if expr.func == "cos":
-            return np.cos(arg)
-        if expr.func == "tan":
-            _check_pole(np.cos(arg), "cos of tan argument")
-            return np.tan(arg)
-        if expr.func == "tanh":
-            return np.tanh(arg)
-        if expr.func == "exp":
-            return np.exp(arg)
-        if expr.func == "log":
-            if np.any(np.asarray(arg) <= 0.0):
-                raise DomainError("log of non-positive value")
-            return np.log(arg)
+        _check_domain(expr.func, arg)
+        return _UNARY[expr.func][0](arg)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -559,22 +566,9 @@ def _eval_dual(expr: Expr, values: dict, wrt: int):
         return -v, -d
     if isinstance(expr, Call):
         av, ad = _eval_dual(expr.arg, values, wrt)
-        if expr.func == "cos":
-            return np.cos(av), -np.sin(av) * ad
-        if expr.func == "tan":
-            c = np.cos(av)
-            _check_pole(c, "cos of tan argument")
-            return np.tan(av), ad / (c * c)
-        if expr.func == "tanh":
-            t = np.tanh(av)
-            return t, (1.0 - t * t) * ad
-        if expr.func == "exp":
-            e = np.exp(av)
-            return e, e * ad
-        if expr.func == "log":
-            if np.any(np.asarray(av) <= 0.0):
-                raise DomainError("log of non-positive value")
-            return np.log(av), ad / av
+        _check_domain(expr.func, av)
+        v = _UNARY[expr.func][0](av)
+        return v, _UNARY[expr.func][1](av, v, ad)
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -251,6 +251,18 @@ def test_eq_eval_missing_variable_is_runtime_error(capsys):
     assert "x2" in record["message"]
 
 
+def test_eq_eval_outside_the_log_domain_is_runtime_error(capsys):
+    # complex/5 holds log(9.86 - 9.81*x4), whose argument is negative at x4 = 1.01
+    argv = ["eq", "eval", "--set", "complex", "--inputs", "5",
+            "--x1", "0.5", "--x2", "0.5", "--x3", "0.5", "--x5", "0.5"]
+    assert main(argv + ["--x4", "0.5"]) == 0
+    assert capsys.readouterr().out == "0.339416531571\n"
+    assert main(argv + ["--x4", "1.01"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "DomainError", "message": "log of non-positive value"}
+
+
 def test_eq_unknown_entry(capsys):
     rc = main(["eq", "show", "--set", "simple", "--inputs", "99"])
     assert rc == 1

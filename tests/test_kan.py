@@ -590,7 +590,6 @@ _ENTRY_FORMS = {
     "cos": lambda r, u: r.uniform(-1, 1) * np.cos(r.uniform(2, 8) * u + r.uniform(-1, 1)),
     "tanh": lambda r, u: r.uniform(-1, 1) * np.tanh(r.uniform(2, 8) * u + r.uniform(-4, 0)),
     "tan": lambda r, u: r.uniform(-1, 1) * np.tan(r.uniform(1, 2) * (u - 0.5)),
-    "log": lambda r, u: r.uniform(-1, 1) * np.log(r.uniform(1, 5) * u + r.uniform(0.2, 1)),
 }
 
 #: Each entry's fit of a noisy edge drawn from its own form (see the test),
@@ -631,18 +630,14 @@ ENTRY_FITS = {
              -0.0017309066567881828), 0.9741611980638676,
             "0.08458630439601383*tan(1.8672839506172854*x1 - 0.9259259259259247) - "
             "0.0017309066567881828"),
-    "log": ((4.691358024691358, 1.1689814814814823, 0.8545004089225321,
-             -0.35890041249690796), 0.9992661171373736,
-            "0.8545004089225321*log(4.691358024691358*x1 + 1.1689814814814823) - "
-            "0.35890041249690796"),
 }
 
 
 @pytest.mark.parametrize("index", range(len(COMPLEX_LIBRARY)),
                          ids=[cand.name for cand in COMPLEX_LIBRARY])
 def test_every_library_entry_fits_its_own_form_as_captured(index):
-    # SNAP_3_3_1 never selects constant, reciprocal, reciprocal_sq, sq_shift
-    # or log; here every entry fits a seeded noisy edge of its own form.
+    # SNAP_3_3_1 never selects constant, reciprocal, reciprocal_sq or
+    # sq_shift; here every entry fits a seeded noisy edge of its own form.
     cand = COMPLEX_LIBRARY[index]
     r = np.random.default_rng(100 + index)
     u = np.linspace(0.0, 1.0, 256)
@@ -832,10 +827,6 @@ def _full_pass_guard_away_from_zero(arg, f):
     return one_sign & (np.min(np.abs(arg), axis=-1) >= kan_module._RANGE_GUARD)
 
 
-def _full_pass_guard_positive(arg, f):
-    return np.min(arg, axis=-1) >= kan_module._RANGE_GUARD
-
-
 def _full_pass_guard_tan(arg, f):
     valid = np.abs(arg[..., -1] - arg[..., 0]) < np.pi
     peak = np.max(np.abs(f), axis=-1)
@@ -853,7 +844,6 @@ def _full_pass_guard_exp(arg, f):
 #: sample, and the outer form whose feature it is given.
 _FULL_PASS_GUARDS = {
     kan_module._guard_away_from_zero: (_full_pass_guard_away_from_zero, lambda t: 1.0 / t),
-    kan_module._guard_positive: (_full_pass_guard_positive, np.log),
     kan_module._guard_tan: (_full_pass_guard_tan, np.tan),
     kan_module._guard_exp: (_full_pass_guard_exp, np.exp),
 }

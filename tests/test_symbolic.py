@@ -16,6 +16,7 @@ from rwtkit.errors import (
     UnknownFunction,
 )
 from rwtkit.symbolic import (
+    FUNCTIONS,
     Add,
     Call,
     Const,
@@ -258,6 +259,40 @@ def test_expr_partial_matches_finite_differences():
         xm[:, var - 1] -= h
         fd = (eval_expression(expr, xp) - eval_expression(expr, xm)) / (2 * h)
         assert np.abs(expr_partial(expr, var, x) - fd).max() < 1e-6
+
+
+#: Each unary function's slope f'(a), written out by hand.
+_SLOPES = {
+    "cos": lambda a: -np.sin(a),
+    "tan": lambda a: 1.0 / np.cos(a) ** 2,
+    "tanh": lambda a: 1.0 - np.tanh(a) ** 2,
+    "exp": np.exp,
+    "log": lambda a: 1.0 / a,
+}
+
+#: Where 1.3*x1 + 0.2 leaves a function's domain: a pole of tan, and log(0).
+_OUTSIDE = {"tan": ((np.pi / 2 - 0.2) / 1.3, PoleError), "log": (-0.2 / 1.3, DomainError)}
+
+
+@pytest.mark.parametrize("func", sorted(FUNCTIONS))
+def test_expr_partial_of_every_function(func):
+    expr = parse_expression(f"{func}(1.3*x1 + 0.2)")
+    x = np.random.default_rng(7).uniform(0.05, 0.95, size=(50, 10))
+    h = 1e-6
+    xp, xm = x.copy(), x.copy()
+    xp[:, 0] += h
+    xm[:, 0] -= h
+    fd = (eval_expression(expr, xp) - eval_expression(expr, xm)) / (2 * h)
+    slope = expr_partial(expr, 1, x)
+    assert np.abs(slope - fd).max() < 1e-6 * max(1.0, np.abs(slope).max())
+    want = 1.3 * _SLOPES[func](1.3 * x[:, 0] + 0.2)
+    np.testing.assert_allclose(slope, want, rtol=1e-12, atol=0.0)
+    if func in _OUTSIDE:
+        at, error = _OUTSIDE[func]
+        with pytest.raises(error):
+            eval_expression(expr, {1: at})
+        with pytest.raises(error):
+            expr_partial(expr, 1, {1: at})
 
 
 def test_expr_partial_of_absent_variable_is_zero():
