@@ -23,12 +23,27 @@ is exact:
   first-layer sum for coalition S is ``pre(b) + bits(S) @ (phi(x) -
   phi(b))`` with phi the per-input terms, so the first layer sees 1 + M
   rows and only the later layers see the 2^q x M batch.  That batch runs
-  in fixed-size blocks of coalitions, so that a block's widest activation
-  holds at most 2^14 values (128 KiB) whatever q is; only a background so
-  large that 4 coalitions exceed it gets blocks of 4.  A block adds its
+  in blocks of a power of two of at least 4 coalitions, sized so that a
+  block's rows times the network's widest layer hold at most 2^14 values
+  whatever q is; only a background so large that 4 coalitions exceed it
+  gets blocks of 4.  The rule counts layer widths, not what ``head``
+  builds inside a layer: the spline network expands each node into its
+  basis, so for the published (10, 2, 1) network on 64 background rows a
+  block is 128 coalitions (8192 rows) and its basis holds 180,224 values
+  (1.44 MB).  Smaller blocks measured slower.  A block adds its
   constants as contiguous runs: the background sums, and the MLP head's
   biases, are tiled once to a block's length, which gives the bits of a
   broadcast add without its per-row loop.
+
+  The network's tables also keep the last row it explained and that row's
+  coalition values.  A coalition that holds none of the columns where the
+  next row differs builds the same hybrid rows, so it keeps its value and
+  only the others go through ``head``.  Rows of one depth profile differ
+  in depth (column 2) alone, which halves their batch.  Reuse is decided
+  per aligned group of 4 coalitions (masks 4g..4g+3), so every block
+  stays a whole number of groups, each row of the batch keeps its place
+  in a group of four, and every value has the bits of a whole-table
+  block; a row differing in column 0 or 1 reuses nothing.
 * Any other model or callable enumerates the 2^q coalitions, pushing every
   hybrid row through its prediction function.  Passing ``model.predict``
   instead of the model takes this path, which makes it the oracle for the
@@ -42,7 +57,8 @@ ignores get zero, and symmetric features get equal credit.
 Instances are independent, so :func:`shap_batch` explains its rows on
 every usable CPU: one contiguous chunk per worker process (inline when that
 is one; see :mod:`rwtkit.parallel`).  Each worker builds its own per-model
-tables, and the explanations are the same whatever the number of workers.
+tables, and the explanations are the same whatever the number of workers,
+because a reused coalition value has the bits it would get afresh.
 
 Attribution is capped at 15 features; every path indexes the 2^q
 coalitions, which stop being a desk-scale table beyond that.  What depends
@@ -96,8 +112,9 @@ EFFICIENCY_TOL = 1e-9
 #: Rows per model call when a coalition batch is evaluated in chunks.
 _CHUNK_ROWS = 1 << 17
 
-#: Values in the widest activation of one block of a network's coalition
-#: batch (rows times layer width): 128 KiB, well inside a core's L2 cache.
+#: Bound on a block of a network's coalition batch, counted as its rows
+#: times the network's widest layer (128 KiB of floats); the spline
+#: network's basis inside ``head`` is wider than that count.
 _BLOCK_VALUES = 1 << 14
 
 class _Coalitions:
@@ -239,7 +256,8 @@ def _prepared(model, background: BackgroundSet, build):
 
     Model arrays are treated as immutable, so a table stays valid for the
     model object it was built from.  The entry holds that object, so its id
-    cannot be reused by another model while the entry exists.
+    cannot be reused by another model while the entry exists.  A network's
+    entry also keeps its last explained row (see :func:`_network_values`).
     """
     key = id(model)
     if key not in background._tables:
@@ -265,20 +283,35 @@ def _coalition_table(predict, x: np.ndarray, background: BackgroundSet) -> np.nd
     return values
 
 
-def _first_layer_tables(model, background: BackgroundSet):
-    """Per-input first-layer terms of the background (M, q, H) and their sums."""
+@dataclass
+class _FirstLayer:
+    """A network's per-input first-layer terms of the background (M, q, H)
+    and their sums, with the last row it explained and that row's
+    coalition values."""
+
+    terms: np.ndarray
+    pre: np.ndarray
+    last: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _first_layer_tables(model, background: BackgroundSet) -> _FirstLayer:
     terms = model.input_terms(background.rows)
-    return terms, terms.sum(axis=1)
+    return _FirstLayer(terms, terms.sum(axis=1))
 
 
-def _factored_table(model, tables, x: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """values[mask] for a network whose first layer is additive per input."""
-    terms, pre = tables
-    m, q, h = terms.shape
-    delta = (model.input_terms(x)[0] - terms).transpose(1, 0, 2).reshape(q, m * h)
+def _factored_table(model, tables: _FirstLayer, x: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """values for the coalitions whose rows of ``bits`` are given, for a
+    network whose first layer is additive per input.
+
+    ``bits`` holds whole aligned groups of four masks (or the whole table
+    when q < 2), so every block below is a whole number of groups.
+    """
+    m, q, h = tables.terms.shape
+    delta = (model.input_terms(x)[0] - tables.terms).transpose(1, 0, 2).reshape(q, m * h)
     values = np.empty(len(bits))
-    # Blocks are a power of two of at least 4 masks.  numpy hands a one-row
-    # product to a matrix-vector kernel with other bits, and OpenBLAS takes
+    # Blocks are a power of two of at least 4 masks, and the last block is
+    # a whole number of groups of 4.  numpy hands a one-row product to a
+    # matrix-vector kernel with other bits, and OpenBLAS takes
     # (rows, h) @ (h, 1) four rows at a time with a separate path for the
     # rest, so these blocks give every row the bits of a whole-table block.
     fit = _BLOCK_VALUES // (m * max(model.layout[1:]))
@@ -286,13 +319,36 @@ def _factored_table(model, tables, x: np.ndarray, bits: np.ndarray) -> np.ndarra
     buffer = np.empty((chunk, m * h))
     # The background sums repeated once per mask of a block, so that they
     # are added as one contiguous run rather than broadcast row by row.
-    pre_block = np.tile(pre.ravel(), chunk).reshape(chunk, m * h)
+    pre_block = np.tile(tables.pre.ravel(), chunk).reshape(chunk, m * h)
     for start in range(0, len(bits), chunk):
-        sel = slice(start, start + chunk)
-        hidden = np.matmul(bits[sel], delta, out=buffer)
-        hidden += pre_block
+        stop = min(start + chunk, len(bits))
+        hidden = np.matmul(bits[start:stop], delta, out=buffer[:stop - start])
+        hidden += pre_block[:stop - start]
         # The same sum and division as ``mean(axis=1)``, without its wrapper.
-        values[sel] = np.add.reduce(model.head(hidden.reshape(-1, h)).reshape(-1, m), axis=1) / m
+        values[start:stop] = np.add.reduce(
+            model.head(hidden.reshape(-1, h)).reshape(-1, m), axis=1) / m
+    return values
+
+
+def _network_values(model, tables: _FirstLayer, x: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """values[mask] for a network, reusing the last row's value of every
+    coalition that holds none of the columns where x differs from it."""
+    stale = None
+    if tables.last is not None:
+        last_x, last_values = tables.last
+        # Bit for bit: 0.0 and -0.0 are different inputs.
+        changed = (x != last_x) | (np.signbit(x) != np.signbit(last_x))
+        # Reuse is decided per aligned group of masks 4g..4g+3, which differ
+        # in columns 0 and 1 only, so 4g+3 holds every column the group does.
+        group = min(4, len(bits))
+        stale = np.repeat(bits[group - 1::group][:, changed].any(axis=1), group)
+    if stale is None or stale.all():
+        values = _factored_table(model, tables, x, bits)
+    else:
+        values = last_values.copy()
+        if stale.any():
+            values[stale] = _factored_table(model, tables, x, bits[stale])
+    tables.last = (x.copy(), values)
     return values
 
 
@@ -344,7 +400,8 @@ def shap_exact(model, x, background: BackgroundSet, instance_key: str = "") -> S
     their first layer, and any other model or plain callable enumerates all
     coalitions (see the module docstring).  Tables that depend only on the
     model and the background are built on first use and kept on
-    ``background``.
+    ``background``, and a network's tables keep the last row's coalition
+    values for the next row to reuse.
     """
     q = background.n_features
     if q > MAX_EXACT_FEATURES:
@@ -359,7 +416,7 @@ def shap_exact(model, x, background: BackgroundSet, instance_key: str = "") -> S
         fx = float(model.predict(row)[0])
     elif isinstance(model, (MlpModel, KanNetwork)):
         tables = _prepared(model, background, _first_layer_tables)
-        values = _factored_table(model, tables, row, c.bits)
+        values = _network_values(model, tables, row, c.bits)
         base, phi = float(values[0]), _phi_from_table(values, c)
         fx = float(model.predict(row)[0])
     else:

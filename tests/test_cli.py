@@ -521,6 +521,31 @@ def test_explain_outputs_match_pinned_bytes(tmp_path):
             assert hashlib.sha256(data).hexdigest() == want, (model, preset, name)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("model", ["mlp", "kan"])
+def test_network_explain_outputs_do_not_depend_on_blas_threads(tmp_path, model, threads):
+    # The networks' coalition values run through BLAS products, reused from
+    # one row to the next where a coalition cannot change, and OpenBLAS reads
+    # its thread count at start-up; the benchmark runs one thread and users
+    # run many.
+    base = ["--out", str(tmp_path / "r")]
+    commands = (
+        ["ingest", "--synthetic", "--synth-profiles", "20", "--synth-samples", "5",
+         "--synth-seed", "3", "--split-seed", "3"],
+        ["train", "--model", model, "--preset", "quick"],
+        ["explain", "--model", model, "--shap-instances", "6", "--shap-background", "30"],
+    )
+    code = (f"from rwtkit.cli import main\nfor argv in {commands!r}:\n"
+            f"    assert main(argv + {base!r}) == 0\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": str(Path(rwtkit.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=300,
+                   check=True)
+    for name in ("shap_summary.csv", "shap_heatmap.csv", "shap_global.json"):
+        data = (tmp_path / "r" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == EXPLAIN_SHA256[(model, name)], name
+
+
 def test_explain_on_a_short_test_split_warns(tmp_path, capsys):
     base = ["--out", str(tmp_path / "r")]
     assert main(["ingest", "--synthetic", "--synth-profiles", "30"] + base) == 0

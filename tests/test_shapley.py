@@ -401,6 +401,105 @@ def test_factored_table_bytes_do_not_depend_on_block_size(monkeypatch, layout):
         assert len(got) == 1
 
 
+# --- reuse of the last row's coalition values ---------------------------------
+#
+# A network keeps the last row it explained and that row's coalition values;
+# every explanation must have the bytes of one built on a fresh background.
+
+REUSE_LAYOUTS = [(6, 1), (6, 5, 1), (6, 7, 5, 1), ("kan", 6, 2, 1), ("kan", 6, 3, 2, 1)]
+
+#: Columns each row changes from the row before it, and the masks (of 64)
+#: whose values must be recomputed: whole aligned groups of four that hold
+#: a changed column.
+REUSE_STEPS = [
+    ((), 0), ((2,), 32), ((2,), 32), ((0,), 64), ((0, 1), 64), (tuple(range(6)), 64),
+    ((), 0), ((3, 5), 48), ((1,), 64), ((2,), 32),
+]
+
+
+def random_network(layout, rng):
+    if layout[0] == "kan":
+        model = kan_init(layout[1:], grid_size=6, seed=2)
+        return replace(model, coefs=tuple(rng.normal(size=c.shape) for c in model.coefs))
+    model = mlp_init(layout, seed=3)
+    return replace(model, biases=tuple(rng.normal(size=b.shape) for b in model.biases))
+
+
+def explanation_bytes(e):
+    return np.array([e.base, *e.phi, e.fx, *e.x]).tobytes()
+
+
+@pytest.mark.parametrize("layout", REUSE_LAYOUTS)
+def test_reused_coalition_values_match_a_fresh_background(monkeypatch, layout):
+    # 9 background rows, so a block's row count is a multiple of 4 only when
+    # its mask count is; the last row differs from the one before it only by
+    # the sign of a zero in column 2.
+    rng = np.random.default_rng(20 + len(layout))
+    model = random_network(layout, rng)
+    rows_bg = rng.uniform(-0.3, 1.3, size=(9, 6))
+    rows, want_counts = [rng.uniform(-0.5, 1.5, size=6)], [64]
+    for cols, count in REUSE_STEPS:
+        row = rows[-1].copy()
+        row[list(cols)] = rng.uniform(-0.5, 1.5, size=len(cols))
+        rows.append(row)
+        want_counts.append(count)
+    for zero in (0.0, -0.0):
+        rows.append(rows[-1].copy())
+        rows[-1][2] = zero
+        want_counts.append(32)
+    counts, factored = [], shapley._factored_table
+
+    def counting(model, tables, x, bits):
+        counts.append(len(bits))
+        return factored(model, tables, x, bits)
+
+    monkeypatch.setattr(shapley, "_factored_table", counting)
+    shared = BackgroundSet(rows_bg)
+    for row, want_count in zip(rows, want_counts):
+        counts.clear()
+        got = shap_exact(model, row, shared)
+        assert sum(counts) == want_count
+        fresh = BackgroundSet(rows_bg)
+        want = shap_exact(model, row, fresh)
+        assert explanation_bytes(got) == explanation_bytes(want)
+        got_values = shared._tables[id(model)][1].last[1]
+        assert got_values.tobytes() == fresh._tables[id(model)][1].last[1].tobytes()
+
+
+def test_reuse_sees_a_row_changed_in_place():
+    # The kept row is a copy: a caller that refills its buffer between calls
+    # gets the new row's values.
+    rng = np.random.default_rng(5)
+    model = random_network((6, 5, 1), rng)
+    rows_bg = rng.uniform(-0.3, 1.3, size=(9, 6))
+    shared = BackgroundSet(rows_bg)
+    row = rng.uniform(-0.5, 1.5, size=6)
+    shap_exact(model, row, shared)
+    row[2] += 0.5
+    want = shap_exact(model, row, BackgroundSet(rows_bg))
+    assert explanation_bytes(shap_exact(model, row, shared)) == explanation_bytes(want)
+
+
+def test_reuse_in_batches_does_not_depend_on_workers_or_row_order(monkeypatch):
+    # Four depth profiles of five rows: every column but 2 has one value per
+    # profile.  Each worker's chunk reuses along its own rows.
+    rng = np.random.default_rng(7)
+    rows_bg = rng.uniform(-0.3, 1.3, size=(9, 6))
+    rows = np.repeat(rng.uniform(-0.5, 1.5, size=(4, 6)), 5, axis=0)
+    rows[:, 2] = rng.uniform(-0.5, 1.5, size=len(rows))
+    shuffled = rows[rng.permutation(len(rows))]
+    for layout in ((6, 5, 1), ("kan", 6, 3, 2, 1)):
+        model = random_network(layout, rng)
+        for matrix in (rows, shuffled):
+            want = [explanation_bytes(shap_exact(model, row, BackgroundSet(rows_bg)))
+                    for row in matrix]
+            for workers in (1, 2):
+                _force_workers(monkeypatch, workers)
+                got = shap_batch(model, matrix, BackgroundSet(rows_bg))
+                assert [explanation_bytes(e) for e in got] == want, (layout, workers)
+                assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("q", [1, 3, 10, 15])
 def test_phi_from_table_matches_per_feature_sums_bitwise(q):
     # The per-q index sets and weights are built once and every feature's
